@@ -16,6 +16,7 @@ from .admissibility import (
     adjoint_duality_check,
     duality_residual,
     dyadic_diagnostic,
+    dyadic_terms,
     frequency_series,
     gamma_infinite,
     gamma_time,
@@ -43,7 +44,6 @@ from .models import (
     dirichlet_hs_norm_spectral,
     heat_dirichlet_closed_form,
     heat_dirichlet_hs_norm_quadrature,
-    heat_field,
 )
 from .modelspec import ModelBundle, ModelSpec, build_bundle, parse_model, parse_model_dict
 from .perturbation import (
@@ -70,15 +70,11 @@ from .simulate import (
 )
 from .spectral import (
     Coefficients,
-    ControlCoefficients,
     DiagonalModel,
-    ObservationCoefficients,
     SpectrumTail,
     TailRule,
     YosidaLimit,
-    evaluate_resolvent,
     evaluate_semigroup,
-    extrapolation_norm,
     growth_bound,
     yosida_apply,
 )

@@ -21,6 +21,10 @@ import numpy as np
 
 from .errors import PreconditionError
 
+#: Budget of explicitly summed terms before the integral bracket takes over.
+MAX_TERMS = 400_000
+_BLOCK = 8192  # terms per vectorized block
+
 
 @dataclass(frozen=True)
 class TailBracket:
@@ -34,10 +38,6 @@ class TailBracket:
     def upper(self) -> float:
         return self.lower + self.width
 
-    @property
-    def midpoint(self) -> float:
-        return self.lower + 0.5 * self.width
-
 
 def bracket_decreasing_sum(
     term: Callable[[np.ndarray], np.ndarray],
@@ -45,21 +45,19 @@ def bracket_decreasing_sum(
     integral_high: Callable[[float], float],
     start: int,
     abs_target: float,
-    max_terms: int = 400_000,
-    block: int = 8192,
 ) -> TailBracket:
     """Enclose ``sum_{i >= start} term(i)`` for a nonincreasing, nonnegative ``term``.
 
     ``integral_low(i) <= int_i^inf term(x) dx <= integral_high(i)`` must hold for
     every ``i`` at which they are evaluated.  Terms are summed explicitly until
-    they fall below ``abs_target`` (or the budget runs out); the remainder from
+    they fall below ``abs_target`` (or ``MAX_TERMS`` run out); the remainder from
     the stopping index ``s`` is enclosed by ``[integral_low(s), term(s) + integral_high(s)]``.
     """
     acc = 0.0
     i = int(start)
     used = 0
-    while used < max_terms:
-        n = np.arange(i, i + block, dtype=float)
+    while used < MAX_TERMS:
+        n = np.arange(i, i + _BLOCK, dtype=float)
         vals = term(n)
         below = np.nonzero(vals <= abs_target)[0]
         if below.size:
@@ -69,8 +67,8 @@ def bracket_decreasing_sum(
             i += stop
             break
         acc += float(np.sum(vals))
-        used += block
-        i += block
+        used += _BLOCK
+        i += _BLOCK
     stop_term = float(term(np.array([float(i)]))[0])
     low = integral_low(float(i))
     high = integral_high(float(i))
@@ -97,7 +95,6 @@ def gamma_power_tail(
     T: float | None,
     start: int,
     abs_target: float,
-    max_terms: int = 400_000,
 ) -> TailBracket:
     """Remainder of ``sum_i w * (1 - exp(-2 a_i T)) / (2 a_i)`` with ``a_i = offset + c i**p``.
 
@@ -134,7 +131,7 @@ def gamma_power_tail(
             return base
         return base * (-math.expm1(-2.0 * (offset + c * x**p) * T))
 
-    return bracket_decreasing_sum(term, integral_low, integral_high, start, abs_target, max_terms)
+    return bracket_decreasing_sum(term, integral_low, integral_high, start, abs_target)
 
 
 def power_envelope_tail(
@@ -146,7 +143,6 @@ def power_envelope_tail(
     start: int,
     abs_target: float,
     extra_sq: float = 0.0,
-    max_terms: int = 400_000,
 ) -> TailBracket:
     """Remainder of ``sum_i w / ((offset + c i**p)**q + extra_sq)`` for ``p*q > 1``.
 
@@ -178,7 +174,7 @@ def power_envelope_tail(
         a_x = offset + c * x**p
         return _iu(x) / (hi**q * (1.0 + extra_sq / a_x**q))
 
-    return bracket_decreasing_sum(term, integral_low, integral_high, start, abs_target, max_terms)
+    return bracket_decreasing_sum(term, integral_low, integral_high, start, abs_target)
 
 
 def line_sum_exact(a: np.ndarray, T: float) -> np.ndarray:
@@ -218,7 +214,6 @@ def frequency_mode_tail(
     T: float,
     start: int,
     abs_target: float,
-    max_terms: int = 400_000,
 ) -> TailBracket:
     """Remainder of the doubly-indexed frequency sum over non-materialized modes.
 
@@ -251,4 +246,4 @@ def frequency_mode_tail(
         _, hi = _envelope_ratio(a_offset, c, p, x)
         return _it(x) / hi
 
-    return bracket_decreasing_sum(term, integral_low, integral_high, start, abs_target, max_terms)
+    return bracket_decreasing_sum(term, integral_low, integral_high, start, abs_target)

@@ -9,10 +9,12 @@ Three interchangeable routes are implemented for diagonal models:
   (:func:`dyadic_diagnostic`), which probe the same quantity from the real axis.
 
 Every series-valued answer is a :class:`SeriesVerdict`: a materialized partial
-sum, a certified remainder bracket, and a verdict.  Divergence is never
-inferred from partial-sum growth; it requires an analytic witness derived from
-the declared tail rules (a constant lower bound on infinitely many terms, an
-integral-comparison divergence, or a term that is itself infinite).
+sum, a certified remainder bracket, and a verdict.  The remainder beyond the
+materialized modes is certified by one ladder over the declared tail rules,
+:func:`certify_tail`.  Divergence is never inferred from partial-sum growth;
+it requires an analytic witness derived from the declared tail rules (a
+constant lower bound on infinitely many terms, an integral-comparison
+divergence, or a term that is itself infinite).
 
 Per-mode and per-frequency terms are accumulated in a fixed order (ascending
 ``|n|``, then mode index), so results are bitwise deterministic for a given
@@ -146,15 +148,61 @@ def _require_paired(model: DiagonalModel, coeffs: Coefficients) -> None:
         )
 
 
-def gamma_time(
+def certify_tail(
+    partial: float,
     model: DiagonalModel,
     coeffs: Coefficients,
-    T: float,
+    ell2_cap,
+    bracket,
     *,
-    rel_tail_target: float = REL_TAIL_TARGET,
-    divergence_floor: float = DIVERGENCE_FLOOR,
-    max_tail_terms: int = 400_000,
+    known: tuple[float, float] = (0.0, 0.0),
+    p_min: float = 1.0,
+    note: str = "",
 ) -> SeriesVerdict:
+    """Certify the remainder beyond the materialized modes from the declared tail rules.
+
+    The one ladder shared by every tail-certified series: no rule is
+    Inconclusive, a ``zero`` rule or a zero constant weight adds nothing, an
+    ``ell2`` rule adds ``ell2_cap(tail) * bound`` (``ell2_cap`` bounds one tail
+    mode's term per unit weight), a constant weight on a family with
+    ``p <= p_min`` is a divergence witness, and otherwise
+    ``bracket(tail, w, abs_target)`` encloses the constant-weight remainder.
+    ``known`` is the ``(lower, width)`` enclosure of any remainder the caller
+    has already bracketed; ``note`` is appended to Converged evidence.
+    """
+    lower, width = known
+    tail = model.tail
+    if tail is None:
+        return _converged(partial, lower, width, "finite model: no mode remainder" + note)
+    rule = coeffs.tail
+    if rule is None:
+        return _inconclusive(partial, "no coefficient tail rule declared; remainder unknown")
+    if rule.kind == "zero":
+        return _converged(partial, lower, width, "coefficient tail vanishes beyond the materialized modes" + note)
+    if rule.kind == "ell2":
+        cap = ell2_cap(tail)
+        return _converged(
+            partial, lower, width + cap * float(rule.value),
+            f"ell2 tail: each tail mode contributes <= {cap:.6g} per unit weight" + note,
+        )
+    w_tail = coeffs.tail_weight()
+    if w_tail == 0.0:
+        return _converged(partial, lower, width, "constant tail weight is zero" + note)
+    if tail.p <= p_min:
+        if w_tail <= DIVERGENCE_FLOOR:
+            return _inconclusive(partial, "tail weight below divergence threshold")
+        return _diverged(
+            partial,
+            f"constant-weight tail with p={tail.p:g} <= {p_min:g}: mode terms diverge by integral comparison",
+        )
+    found = bracket(tail, w_tail, REL_TAIL_TARGET * (partial if partial > 0 else 1.0))
+    return _converged(
+        partial, lower + found.lower, width + found.width,
+        f"constant-weight tail bracketed after {found.terms_used} analytic terms" + note,
+    )
+
+
+def gamma_time(model: DiagonalModel, coeffs: Coefficients, T: float) -> SeriesVerdict:
     """Time-domain criterion ``gamma(T) = sum_n w_n (exp(2 lambda_n T) - 1) / (2 lambda_n)``.
 
     The ``lambda = 0`` mode contributes ``w * T`` (exact limit).  The remainder
@@ -165,60 +213,16 @@ def gamma_time(
     _require_paired(model, coeffs)
     if T <= 0:
         raise PreconditionError(f"horizon must be positive, got {T}")
-    w = coeffs.weights
-    terms = w * exp_integral(model.eigenvalues, T)
-    partial = float(np.sum(terms))
-
-    if model.tail is None:
-        return _converged(partial, 0.0, 0.0, "finite model; per-mode closed-form integrals")
-    rule = coeffs.tail
-    if rule is None:
-        return _inconclusive(partial, "no coefficient tail rule declared; remainder unknown")
-    if rule.kind == "zero":
-        return _converged(partial, 0.0, 0.0, "coefficient tail vanishes beyond materialized range")
-    tail = model.tail
-    if rule.kind == "ell2":
-        sup = float(tail.eigenvalue(tail.next_index))
-        cap = T * math.exp(2.0 * max(sup, 0.0) * T)
-        return _converged(
-            partial,
-            0.0,
-            cap * float(rule.value),
-            f"ell2 tail: per-mode integrals <= {cap:.6g}, remainder <= bound * that",
-        )
-    w_tail = coeffs.tail_weight()
-    if w_tail == 0.0:
-        return _converged(partial, 0.0, 0.0, "constant tail weight is zero")
-    if tail.p <= 1:
-        if w_tail <= divergence_floor:
-            return _inconclusive(partial, "tail weight below divergence threshold")
-        return _diverged(
-            partial,
-            f"constant-weight tail with p={tail.p:g} <= 1: terms ~ w/(2 c n^p) "
-            "diverge by integral comparison",
-        )
-    scale = partial if partial > 0 else 1.0
-    bracket = gamma_power_tail(
-        tail.c, tail.p, tail.offset, w_tail, T, tail.next_index,
-        abs_target=rel_tail_target * scale, max_terms=max_tail_terms,
-    )
-    return _converged(
-        partial,
-        bracket.lower,
-        bracket.width,
-        f"constant-weight tail: integral-comparison bracket after {bracket.terms_used} analytic terms",
+    partial = float(np.sum(coeffs.weights * exp_integral(model.eigenvalues, T)))
+    return certify_tail(
+        partial, model, coeffs,
+        lambda tail: T * math.exp(2.0 * max(float(tail.eigenvalue(tail.next_index)), 0.0) * T),
+        lambda tail, w, target: gamma_power_tail(
+            tail.c, tail.p, tail.offset, w, T, tail.next_index, abs_target=target),
     )
 
 
-def gamma_infinite(
-    model: DiagonalModel,
-    coeffs: Coefficients,
-    t0: float = 1.0,
-    *,
-    rel_tail_target: float = REL_TAIL_TARGET,
-    divergence_floor: float = DIVERGENCE_FLOOR,
-    max_tail_terms: int = 400_000,
-) -> SeriesVerdict:
+def gamma_infinite(model: DiagonalModel, coeffs: Coefficients, t0: float = 1.0) -> SeriesVerdict:
     """Infinite-horizon value ``sum_n w_n / (2 |lambda_n|)`` for exponentially stable models.
 
     Requires a certified negative growth bound.  The evidence also records the
@@ -234,67 +238,24 @@ def gamma_infinite(
         )
     if t0 <= 0:
         raise PreconditionError("t0 must be positive")
-    w = coeffs.weights
-    partial = float(np.sum(w / (2.0 * np.abs(model.eigenvalues))))
+    partial = float(np.sum(coeffs.weights / (2.0 * np.abs(model.eigenvalues))))
 
     geo_note = ""
-    finite_t = gamma_time(
-        model, coeffs, t0,
-        rel_tail_target=rel_tail_target, divergence_floor=divergence_floor,
-        max_tail_terms=max_tail_terms,
-    )
+    finite_t = gamma_time(model, coeffs, t0)
     if finite_t.verdict is Verdict.CONVERGED:
         q = math.exp(g * t0)
         geo = finite_t.upper / (1.0 - q * q)
         geo_note = f"; geometric cross-bound {geo:.17g} from horizon {t0:g}"
-
-    if model.tail is None:
-        return _converged(partial, 0.0, 0.0, "finite model; per-mode closed forms" + geo_note)
-    rule = coeffs.tail
-    if rule is None:
-        return _inconclusive(partial, "no coefficient tail rule declared; remainder unknown")
-    if rule.kind == "zero":
-        return _converged(partial, 0.0, 0.0, "coefficient tail vanishes" + geo_note)
-    tail = model.tail
-    if rule.kind == "ell2":
-        a_next = -float(tail.eigenvalue(tail.next_index))
-        return _converged(
-            partial, 0.0, float(rule.value) / (2.0 * a_next),
-            f"ell2 tail: remainder <= bound / (2*{a_next:.6g})" + geo_note,
-        )
-    w_tail = coeffs.tail_weight()
-    if w_tail == 0.0:
-        return _converged(partial, 0.0, 0.0, "constant tail weight is zero" + geo_note)
-    if tail.p <= 1:
-        if w_tail <= divergence_floor:
-            return _inconclusive(partial, "tail weight below divergence threshold")
-        return _diverged(
-            partial,
-            f"constant-weight tail with p={tail.p:g} <= 1: terms ~ w/(2 c n^p) "
-            "diverge by integral comparison",
-        )
-    scale = partial if partial > 0 else 1.0
-    bracket = gamma_power_tail(
-        tail.c, tail.p, tail.offset, w_tail, None, tail.next_index,
-        abs_target=rel_tail_target * scale, max_terms=max_tail_terms,
-    )
-    return _converged(
-        partial,
-        bracket.lower,
-        bracket.width,
-        f"constant-weight tail bracket after {bracket.terms_used} analytic terms" + geo_note,
+    return certify_tail(
+        partial, model, coeffs,
+        lambda tail: 0.5 / -float(tail.eigenvalue(tail.next_index)),
+        lambda tail, w, target: gamma_power_tail(
+            tail.c, tail.p, tail.offset, w, None, tail.next_index, abs_target=target),
+        note=geo_note,
     )
 
 
-def frequency_series(
-    model: DiagonalModel,
-    coeffs: Coefficients,
-    grid: FrequencyGrid,
-    *,
-    rel_tail_target: float = REL_TAIL_TARGET,
-    divergence_floor: float = DIVERGENCE_FLOOR,
-    max_tail_terms: int = 400_000,
-) -> SeriesVerdict:
+def frequency_series(model: DiagonalModel, coeffs: Coefficients, grid: FrequencyGrid) -> SeriesVerdict:
     """Frequency-domain criterion: ``sum_n sum_m w_m / ((omega - lambda_m)^2 + (2 pi n / T)^2)``.
 
     Sums the grid terms for ``|n| <= n_max`` (ascending ``|n|``), certifies the
@@ -317,47 +278,14 @@ def frequency_series(
     partial += float(np.sum(2.0 * per_n))
 
     line_lower, line_width = frequency_line_tail(a, T, n_max)
-    tail_value = float(np.sum(w * line_lower))
-    tail_width = float(np.sum(w * line_width))
-
-    if model.tail is None:
-        return _converged(partial, tail_value, tail_width,
-                          "finite model; frequency remainder by arctan integral comparison")
-    rule = coeffs.tail
-    if rule is None:
-        return _inconclusive(partial, "no coefficient tail rule declared; mode remainder unknown")
-    tail = model.tail
-    if rule.kind == "zero":
-        return _converged(partial, tail_value, tail_width,
-                          "coefficient tail vanishes; frequency remainder by integral comparison")
-    if rule.kind == "ell2":
-        a_next = omega + tail.offset + tail.c * float(tail.next_index) ** tail.p
-        cap = float(line_sum_exact(np.array([a_next]), T)[0])
-        return _converged(
-            partial, tail_value, tail_width + cap * float(rule.value),
-            f"ell2 tail: each tail mode line-sums to <= {cap:.6g}",
-        )
-    w_tail = coeffs.tail_weight()
-    if w_tail == 0.0:
-        return _converged(partial, tail_value, tail_width, "constant tail weight is zero")
-    if tail.p <= 1:
-        if w_tail <= divergence_floor:
-            return _inconclusive(partial, "tail weight below divergence threshold")
-        return _diverged(
-            partial,
-            f"mode tail diverges: per-mode frequency lines >= w T / (2 (omega - lambda_n)) "
-            f"with p={tail.p:g} <= 1, divergent by integral comparison",
-        )
-    scale = partial if partial > 0 else 1.0
-    bracket = frequency_mode_tail(
-        tail.c, tail.p, omega + tail.offset, w_tail, T, tail.next_index,
-        abs_target=rel_tail_target * scale, max_terms=max_tail_terms,
-    )
-    return _converged(
-        partial,
-        tail_value + bracket.lower,
-        tail_width + bracket.width,
-        f"constant-weight mode tail bracketed after {bracket.terms_used} analytic line sums",
+    return certify_tail(
+        partial, model, coeffs,
+        lambda tail: float(line_sum_exact(
+            np.array([omega + tail.offset + tail.c * float(tail.next_index) ** tail.p]), T)[0]),
+        lambda tail, w_tail, target: frequency_mode_tail(
+            tail.c, tail.p, omega + tail.offset, w_tail, T, tail.next_index, abs_target=target),
+        known=(float(np.sum(w * line_lower)), float(np.sum(w * line_width))),
+        note="; frequency remainder by arctan integral comparison",
     )
 
 
@@ -441,20 +369,12 @@ def weiss_scan(model: DiagonalModel, obs: Coefficients, omega: float, lam_grid) 
     return WeissScan(float(values[k]), complex(pts[k]), pts, values)
 
 
-def dyadic_diagnostic(
-    model: DiagonalModel,
-    ctrl: Coefficients,
-    n_range: int = 10,
-    *,
-    divergence_floor: float = DIVERGENCE_FLOOR,
-) -> SeriesVerdict:
-    """Dyadic sum ``sum_n 2^n sum_m w_m / (2^n - lambda_m)^2`` over ``|n| <= n_range``.
+def dyadic_terms(model: DiagonalModel, ctrl: Coefficients, n_range: int) -> tuple[list[int], list[float]]:
+    """Exponents ``n`` and terms ``2^n sum_m w_m / (2^n - lambda_m)^2``, ascending ``|n|``.
 
-    Diagnostic only: no existence claim is attached.  Negative exponents are
-    included only while ``2^n`` exceeds the growth bound (the point must stay
-    on the resolvent ray); hitting an eigenvalue exactly is an error.  Terms
-    are symmetric under ``n -> -n`` for a single mode at ``lambda = -1``; the
-    per-exponent table is accumulated ascending ``|n|``.
+    The order is ``0, -1, 1, -2, 2, ...``.  Negative exponents are included
+    only while ``2^n`` exceeds the growth bound (the point must stay on the
+    resolvent ray); hitting an eigenvalue exactly is an error.
     """
     model = _require_diagonal(model)
     _require_paired(model, ctrl)
@@ -463,22 +383,36 @@ def dyadic_diagnostic(
     w = ctrl.weights
     lam = model.eigenvalues
     g = growth_bound(model)
-
-    # nonnegative exponents always enter; negative ones only while 2^n > growth bound
     order = [0]
     for k in range(1, n_range + 1):
         order.extend([-k, k])
     exponents = [n for n in order if n >= 0 or g < 0 or 2.0**n > g]
-    partial = 0.0
+    terms = []
     for n in exponents:
         point = 2.0**n
         gaps = point - lam
         hit = np.nonzero(gaps == 0.0)[0]
         if hit.size:
             raise SingularResolventError(point, int(hit[0]))
-        partial += float(point * np.sum(w / gaps**2))
+        terms.append(float(point * np.sum(w / gaps**2)))
+    return exponents, terms
 
-    zero_modes = np.nonzero((lam == 0.0) & (w > divergence_floor))[0]
+
+def dyadic_diagnostic(model: DiagonalModel, ctrl: Coefficients, n_range: int = 10) -> SeriesVerdict:
+    """Dyadic sum ``sum_n 2^n sum_m w_m / (2^n - lambda_m)^2`` over ``|n| <= n_range``.
+
+    Diagnostic only: no existence claim is attached.  The terms of
+    :func:`dyadic_terms` are accumulated in their order, so a running sum of
+    that table ends at ``partial_value`` exactly.  Terms are symmetric under
+    ``n -> -n`` for a single mode at ``lambda = -1``.
+    """
+    _, terms = dyadic_terms(model, ctrl, n_range)
+    partial = 0.0
+    for term in terms:
+        partial += term
+    w = ctrl.weights
+    lam = model.eigenvalues
+    zero_modes = np.nonzero((lam == 0.0) & (w > DIVERGENCE_FLOOR))[0]
     if zero_modes.size:
         return _diverged(
             partial,

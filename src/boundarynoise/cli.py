@@ -18,6 +18,7 @@ the existence gate.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -26,15 +27,12 @@ import numpy as np
 from .admissibility import (
     FrequencyGrid,
     dyadic_diagnostic,
+    dyadic_terms,
     frequency_series,
     gamma_time,
     weiss_scan,
 )
-from .errors import (
-    BoundaryNoiseError,
-    PreconditionError,
-    SpecValidationError,
-)
+from .errors import BoundaryNoiseError, PreconditionError, SpecValidationError
 from .models import dirichlet_frequency_criterion
 from .modelspec import ModelBundle, build_bundle, parse_model
 from .perturbation import perturbed_gamma_time
@@ -42,7 +40,6 @@ from .reports import (
     build_report,
     covariance_rows,
     ensemble_summary,
-    finish_report,
     num,
     path_rows,
     render_csv,
@@ -53,13 +50,6 @@ from .reports import (
 from .simulate import covariance_qt, ensemble_stats, require_existence, sample_exact, sample_grid
 from .spectral import growth_bound
 
-_CSV_CAPABLE = {"check", "covariance", "simulate", "scan-weiss", "dyadic"}
-
-
-def _load_bundle(args) -> ModelBundle:
-    spec = parse_model(args.model)
-    return build_bundle(spec, modes_override=getattr(args, "modes", None))
-
 
 def _default_omega(bundle: ModelBundle, requested: float | None) -> float:
     if requested is not None:
@@ -69,14 +59,15 @@ def _default_omega(bundle: ModelBundle, requested: float | None) -> float:
     return growth_bound(bundle.model) + 1.0
 
 
-def _existence(bundle: ModelBundle, T: float, omega: float, n_max: int):
-    if bundle.kind == "transport":
-        return dirichlet_frequency_criterion(bundle.transport, omega, T, n_max)
-    return gamma_time(bundle.model, bundle.control, T)
+def _table(header: list, rows: list) -> dict:
+    return {"layout": header, "provenance": "closed_form", "rows": rows}
 
 
-def cmd_check(args) -> tuple[dict, list | None, list | None]:
-    bundle = _load_bundle(args)
+# Each command returns (results, CSV header, CSV rows); the header is None
+# for commands without a tabular layout.
+
+
+def cmd_check(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
     T = args.T
     omega = _default_omega(bundle, args.omega)
     n_max = args.freq_terms if args.freq_terms is not None else 256
@@ -99,42 +90,32 @@ def cmd_check(args) -> tuple[dict, list | None, list | None]:
         "routes": {name: verdict_payload(v) for name, v in routes.items()},
     }
     rows = [[name, v.verdict.value, v.value, v.partial_value] for name, v in routes.items()]
-    return (
-        build_report("check", _flag_echo(args), bundle.spec, results),
-        ["route", "verdict", "value", "partial_value"],
-        rows,
-    )
+    return results, ["route", "verdict", "value", "partial_value"], rows
 
 
-def cmd_covariance(args) -> tuple[dict, list | None, list | None]:
-    bundle = _load_bundle(args)
+def cmd_covariance(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
     if bundle.kind != "diagonal":
         raise PreconditionError("covariance requires a spectral (diagonal) model")
     cov = covariance_qt(bundle.model, bundle.control, args.T)
     eigvals = np.linalg.eigvalsh(cov.matrix)
+    header, rows = ["n", "m", "value"], covariance_rows(cov.matrix)
     results = {
         "horizon": num(args.T, "closed_form"),
         "trace": verdict_payload(cov.trace_verdict),
         "materialized_trace": num(cov.trace, "closed_form"),
         "min_eigenvalue": num(float(eigvals[0]), "closed_form"),
-        "entries": {
-            "layout": ["n", "m", "value"],
-            "provenance": "closed_form",
-            "rows": covariance_rows(cov.matrix),
-        },
+        "entries": _table(header, rows),
     }
-    return (
-        build_report("covariance", _flag_echo(args), bundle.spec, results),
-        ["n", "m", "value"],
-        covariance_rows(cov.matrix),
-    )
+    return results, header, rows
 
 
-def cmd_simulate(args) -> tuple[dict, list | None, list | None]:
-    bundle = _load_bundle(args)
-    omega = _default_omega(bundle, args.omega)
-    n_max = args.freq_terms if args.freq_terms is not None else 256
-    verdict = _existence(bundle, args.T, omega, n_max)
+def cmd_simulate(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
+    if bundle.kind == "transport":
+        n_max = args.freq_terms if args.freq_terms is not None else 256
+        omega = _default_omega(bundle, args.omega)
+        verdict = dirichlet_frequency_criterion(bundle.transport, omega, args.T, n_max)
+    else:
+        verdict = gamma_time(bundle.model, bundle.control, args.T)
     require_existence(verdict, override=args.override_existence_gate)
     if bundle.kind != "diagonal":
         raise PreconditionError(
@@ -159,15 +140,10 @@ def cmd_simulate(args) -> tuple[dict, list | None, list | None]:
         "horizon": num(args.T, "closed_form"),
         "ensemble": ensemble_summary(stats),
     }
-    return (
-        build_report("simulate", _flag_echo(args), bundle.spec, results),
-        ["sample", "time", "mode", "value"],
-        path_rows(ens),
-    )
+    return results, ["sample", "time", "mode", "value"], path_rows(ens)
 
 
-def cmd_perturb_check(args) -> tuple[dict, list | None, list | None]:
-    bundle = _load_bundle(args)
+def cmd_perturb_check(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
     if bundle.kind != "diagonal":
         raise PreconditionError("perturbation checks need a spectral (diagonal) model")
     if bundle.perturbation is None:
@@ -179,11 +155,10 @@ def cmd_perturb_check(args) -> tuple[dict, list | None, list | None]:
         "unperturbed": verdict_payload(base),
         "perturbed": verdict_payload(verdict),
     }
-    return build_report("perturb-check", _flag_echo(args), bundle.spec, results), None, None
+    return results, None, None
 
 
-def cmd_scan_weiss(args) -> tuple[dict, list | None, list | None]:
-    bundle = _load_bundle(args)
+def cmd_scan_weiss(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
     if bundle.kind != "diagonal":
         raise PreconditionError("the resolvent scan needs a spectral (diagonal) model")
     omega = args.omega if args.omega is not None else growth_bound(bundle.model) + 0.1
@@ -192,71 +167,41 @@ def cmd_scan_weiss(args) -> tuple[dict, list | None, list | None]:
     imags = np.array([0.0, 1.0, -1.0, 10.0, -10.0])
     grid = (reals[:, None] + 1j * imags[None, :]).ravel()
     scan = weiss_scan(bundle.model, obs, omega, grid)
+    header = ["lambda_re", "lambda_im", "value"]
+    rows = [[float(p.real), float(p.imag), float(v)] for p, v in zip(scan.points, scan.values)]
     results = {
         "omega": num(omega, "closed_form"),
         "statistic": num(scan.statistic, "closed_form"),
         "arg_max": {"re": num(scan.arg_max.real, "closed_form"), "im": num(scan.arg_max.imag, "closed_form")},
-        "points": {
-            "layout": ["lambda_re", "lambda_im", "value"],
-            "provenance": "closed_form",
-            "rows": [[float(p.real), float(p.imag), float(v)] for p, v in zip(scan.points, scan.values)],
-        },
+        "points": _table(header, rows),
     }
-    rows = [[float(p.real), float(p.imag), float(v)] for p, v in zip(scan.points, scan.values)]
-    return (
-        build_report("scan-weiss", _flag_echo(args), bundle.spec, results),
-        ["lambda_re", "lambda_im", "value"],
-        rows,
-    )
+    return results, header, rows
 
 
-def cmd_dyadic(args) -> tuple[dict, list | None, list | None]:
-    bundle = _load_bundle(args)
+def cmd_dyadic(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
     if bundle.kind != "diagonal":
         raise PreconditionError("the dyadic diagnostic needs a spectral (diagonal) model")
     n_range = args.freq_terms if args.freq_terms is not None else 10
     verdict = dyadic_diagnostic(bundle.model, bundle.control, n_range)
-    exponents, terms = _dyadic_table(bundle, n_range)
+    header = ["index", "term", "cumulative"]
+    rows = series_rows(*dyadic_terms(bundle.model, bundle.control, n_range))
     results = {
         "n_range": n_range,
         "diagnostic": verdict_payload(verdict),
         "note": "diagnostic only: no existence claim is attached",
-        "terms": {
-            "layout": ["index", "term", "cumulative"],
-            "provenance": "closed_form",
-            "rows": series_rows(exponents, terms),
-        },
+        "terms": _table(header, rows),
     }
-    return (
-        build_report("dyadic", _flag_echo(args), bundle.spec, results),
-        ["index", "term", "cumulative"],
-        series_rows(exponents, terms),
-    )
+    return results, header, rows
 
 
-def _dyadic_table(bundle: ModelBundle, n_range: int):
-    lam = bundle.model.eigenvalues
-    w = bundle.control.weights
-    g = growth_bound(bundle.model)
-    exponents = [n for n in range(-n_range, n_range + 1) if n >= 0 or g < 0 or 2.0**n > g]
-    terms = [float(2.0**n * np.sum(w / (2.0**n - lam) ** 2)) for n in exponents]
-    return exponents, terms
-
-
-def cmd_report(args) -> tuple[dict, list | None, list | None]:
-    bundle = _load_bundle(args)
-    sections = {}
-    check_report, _, _ = cmd_check(args)
-    sections["check"] = check_report["results"]
+def cmd_report(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
+    sections = {"check": cmd_check(args, bundle)[0]}
     if bundle.kind == "diagonal":
-        cov_report, _, _ = cmd_covariance(args)
-        sections["covariance"] = cov_report["results"]
-        dyadic_report, _, _ = cmd_dyadic(args)
-        sections["dyadic"] = dyadic_report["results"]
+        sections["covariance"] = cmd_covariance(args, bundle)[0]
+        sections["dyadic"] = cmd_dyadic(args, bundle)[0]
         if bundle.perturbation is not None:
-            pert_report, _, _ = cmd_perturb_check(args)
-            sections["perturbation"] = pert_report["results"]
-    return build_report("report", _flag_echo(args), bundle.spec, sections), None, None
+            sections["perturbation"] = cmd_perturb_check(args, bundle)[0]
+    return sections, None, None
 
 
 _COMMANDS = {
@@ -282,6 +227,17 @@ def _flag_echo(args) -> dict:
     return echo
 
 
+def _finite_float(text: str) -> float:
+    # float() alone accepts "nan" and "inf"
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="boundarynoise", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -289,15 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--model", required=True, help="path to a model-spec JSON file")
-        p.add_argument("--T", type=float, default=1.0, help="time horizon (default 1)")
-        p.add_argument("--omega", type=float, default=None,
+        p.add_argument("--T", type=_finite_float, default=1.0, help="time horizon (default 1)")
+        p.add_argument("--omega", type=_finite_float, default=None,
                        help="abscissa for frequency criteria (default: growth bound + 1)")
         p.add_argument("--modes", type=int, default=None, help="re-truncate preset models")
         p.add_argument("--freq-terms", dest="freq_terms", type=int, default=None,
                        help="frequency grid half-width (check: 256) / dyadic range (dyadic: 10)")
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--dt", type=float, default=None,
+        p.add_argument("--dt", type=_finite_float, default=None,
                        help="grid step for trajectory sampling (default: exact endpoint draw)")
         p.add_argument("--scheme", choices=["shared_increment", "exact_joint"],
                        default="shared_increment")
@@ -321,11 +277,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        report, header, rows = _COMMANDS[args.command](args)
-    except SpecValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        bundle = build_bundle(parse_model(args.model), modes_override=args.modes)
+        results, header, rows = _COMMANDS[args.command](args, bundle)
+    except (SpecValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BoundaryNoiseError as exc:
@@ -337,7 +291,8 @@ def main(argv=None) -> int:
             return 2
         _emit(render_csv(header, rows), args.output)
     else:
-        finish_report(report, time.perf_counter() - started)
+        report = build_report(args.command, _flag_echo(args), bundle.spec, results,
+                              time.perf_counter() - started)
         _emit(render_json(report), args.output)
     return 0
 

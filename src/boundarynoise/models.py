@@ -16,17 +16,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Union
+from typing import Literal, Union
 
 import numpy as np
 from scipy import integrate
 
 from ._tails import power_envelope_tail
 from .admissibility import (
+    DIVERGENCE_FLOOR,
     FrequencyGrid,
     SeriesVerdict,
+    Verdict,
     _converged,
     _diverged,
+    _require_paired,
+    certify_tail,
     frequency_series,
 )
 from .errors import PreconditionError, SingularResolventError
@@ -40,18 +44,15 @@ class HeatNeumannModel:
     """Heat equation on ``(0, pi)`` with flux noise at one endpoint.
 
     Wraps the cosine-basis diagonal model (``lambda_n = -n^2``) together with
-    the endpoint-trace control coefficients.  ``feedback`` optionally carries
-    the mode coefficients of a mean functional applied at the opposite
-    endpoint's flux condition.
+    the endpoint-trace control coefficients.
     """
 
     side: Side
     model: DiagonalModel
     control: Coefficients
-    feedback: np.ndarray | None = None
 
 
-def build_heat_neumann(side: Side, modes: int, feedback: np.ndarray | None = None) -> HeatNeumannModel:
+def build_heat_neumann(side: Side, modes: int) -> HeatNeumannModel:
     """Materialize the heat model with ``modes`` cosine modes.
 
     Basis: ``phi_0 = 1/sqrt(pi)``, ``phi_n = sqrt(2/pi) cos(n x)`` for
@@ -73,11 +74,7 @@ def build_heat_neumann(side: Side, modes: int, feedback: np.ndarray | None = Non
     if side == "left":
         beta = -beta
     control = Coefficients(beta[:, None], tail=TailRule("constant", 2.0 / math.pi))
-    if feedback is not None:
-        feedback = np.asarray(feedback, dtype=float)
-        if feedback.shape != (modes,):
-            raise PreconditionError("feedback coefficients must match the mode count")
-    return HeatNeumannModel(side=side, model=model, control=control, feedback=feedback)
+    return HeatNeumannModel(side=side, model=model, control=control)
 
 
 def constant_one_feedback(modes: int) -> np.ndarray:
@@ -89,16 +86,6 @@ def constant_one_feedback(modes: int) -> np.ndarray:
     m = np.zeros(modes)
     m[0] = math.sqrt(math.pi)
     return m
-
-
-def heat_field(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate ``sum_n x_n phi_n(xi)`` on a spatial grid for the heat basis."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    out = np.full(xi.shape, x[0] / math.sqrt(math.pi))
-    for n in range(1, x.size):
-        out += x[n] * math.sqrt(2.0 / math.pi) * np.cos(n * xi)
-    return out
 
 
 def _heat_singular_mode(lam: complex) -> int | None:
@@ -153,50 +140,40 @@ def heat_dirichlet_hs_norm_quadrature(
     return float(value)
 
 
-def dirichlet_hs_norm_spectral(
-    model: DiagonalModel,
-    ctrl: Coefficients,
-    lam: complex,
-    *,
-    rel_tail_target: float = 1e-10,
-    max_tail_terms: int = 400_000,
-) -> float:
+def dirichlet_hs_norm_spectral(model: DiagonalModel, ctrl: Coefficients, lam: complex) -> float:
     """Squared Hilbert-Schmidt norm ``sum_n w_n / |lam - lambda_n|^2`` with certified tail.
 
     The stationary solution map factors through the resolvent, so its squared
-    norm is the resolvent-weighted coefficient sum.  For power-tail models the
-    remainder is summed analytically and bracketed; the returned value is the
-    certified lower end (the bracket width sits below ``rel_tail_target``
-    relative whenever the budget allows).
+    norm is the resolvent-weighted coefficient sum.  The remainder goes
+    through the shared tail ladder (:func:`.certify_tail`); the returned
+    value is the certified lower end, and any verdict other than Converged
+    raises.
     """
-    if ctrl.mode_count != model.mode_count:
-        raise PreconditionError("coefficient table does not match the model truncation")
+    _require_paired(model, ctrl)
     lam = complex(lam)
     gaps = lam - model.eigenvalues
     hits = np.nonzero(gaps == 0)[0]
     if hits.size:
         raise SingularResolventError(lam, int(hits[0]))
-    w = ctrl.weights
-    partial = float(np.sum(w / np.abs(gaps) ** 2))
-    tail = model.tail
-    if tail is None:
-        return partial
-    w_tail = ctrl.tail_weight()
-    if w_tail is None:
-        if ctrl.tail is not None and ctrl.tail.kind == "zero":
-            return partial
-        raise PreconditionError("tail rule required to certify the spectral norm remainder")
-    if w_tail == 0.0:
-        return partial
-    a_off = lam.real + tail.offset
-    if a_off + tail.c * float(tail.next_index) ** tail.p <= 0:
-        raise PreconditionError("lambda too far left to certify the remainder")
-    bracket = power_envelope_tail(
-        tail.c, tail.p, 2.0, a_off, w_tail, tail.next_index,
-        abs_target=rel_tail_target * max(partial, 1e-300),
-        extra_sq=lam.imag**2, max_terms=max_tail_terms,
+    partial = float(np.sum(ctrl.weights / np.abs(gaps) ** 2))
+
+    def a_off(tail) -> float:
+        # |lam - lambda_i| >= Re(lam) + offset + c i**p, which must be positive on the tail
+        off = lam.real + tail.offset
+        if off + tail.c * float(tail.next_index) ** tail.p <= 0:
+            raise PreconditionError("lambda too far left to certify the remainder")
+        return off
+
+    verdict = certify_tail(
+        partial, model, ctrl,
+        lambda tail: (a_off(tail) + tail.c * float(tail.next_index) ** tail.p) ** -2,
+        lambda tail, w, target: power_envelope_tail(
+            tail.c, tail.p, 2.0, a_off(tail), w, tail.next_index, abs_target=target, extra_sq=lam.imag**2),
+        p_min=0.5,
     )
-    return partial + bracket.lower
+    if verdict.verdict is not Verdict.CONVERGED:
+        raise PreconditionError(f"spectral norm remainder not certified: {verdict.evidence}")
+    return verdict.value
 
 
 @dataclass(frozen=True)
@@ -228,21 +205,6 @@ class TransportModel:
             return float(self.noise_dim) * self.delay
         return float(self.noise_dim) * (-math.expm1(-2.0 * re * self.delay)) / (2.0 * re)
 
-    def apply_shift(self, t: float, phi: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-        """The shift orbit: ``(S(t) phi)(theta) = phi(t + theta)`` for ``theta < -t``, else 0."""
-        if t < 0:
-            raise PreconditionError("time must be nonnegative")
-
-        def shifted(theta: np.ndarray) -> np.ndarray:
-            theta = np.asarray(theta, dtype=float)
-            out = np.zeros(theta.shape)
-            live = theta < -t
-            if np.any(live):
-                out[live] = np.asarray(phi(theta[live] + t), dtype=float)
-            return out
-
-        return shifted
-
 
 def build_transport(r: float, d: Union[int, str] = 1) -> TransportModel:
     """Transport model with delay ``r > 0`` and ``d`` noise channels."""
@@ -255,9 +217,6 @@ def dirichlet_frequency_criterion(
     T: float,
     n_max: int,
     ctrl: Coefficients | None = None,
-    *,
-    rel_tail_target: float = 1e-10,
-    divergence_floor: float = 1e-12,
 ) -> SeriesVerdict:
     """Frequency criterion on the stationary solution map itself.
 
@@ -275,7 +234,7 @@ def dirichlet_frequency_criterion(
             return _diverged(math.inf, "single term infinite: countable noise channels")
         term = model.dirichlet_hs_norm_sq(omega)
         partial = (2 * n_max + 1) * term
-        if term <= divergence_floor:
+        if term <= DIVERGENCE_FLOOR:
             return _converged(partial, 0.0, 0.0, "terms below divergence threshold")
         return _diverged(partial, "terms constant in n")
     if isinstance(model, HeatNeumannModel):
@@ -283,7 +242,4 @@ def dirichlet_frequency_criterion(
         model = model.model
     if ctrl is None:
         raise PreconditionError("diagonal models need control coefficients")
-    return frequency_series(
-        model, ctrl, FrequencyGrid(omega, T, n_max),
-        rel_tail_target=rel_tail_target, divergence_floor=divergence_floor,
-    )
+    return frequency_series(model, ctrl, FrequencyGrid(omega, T, n_max))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -41,7 +42,6 @@ import numpy as np
 
 from .errors import PreconditionError, SpecValidationError
 from .models import (
-    HeatNeumannModel,
     TransportModel,
     build_heat_neumann,
     build_transport,
@@ -88,12 +88,18 @@ class ModelSpec:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number; ``json`` also accepts ``NaN`` and ``Infinity``."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _number_list(value, path, problems, rows=None) -> list | None:
     if not isinstance(value, list) or not value or not all(_is_number(v) for v in value):
-        problems.append((path, "must be a non-empty list of numbers"))
+        problems.append((path, "must be a non-empty list of finite numbers"))
         return None
     if rows is not None and len(value) != rows:
         problems.append((path, f"expected {rows} entries, found {len(value)}"))
@@ -351,12 +357,10 @@ def parse_model(path) -> ModelSpec:
 class ModelBundle:
     """A runnable model: either a diagonal pair or the transport closed forms."""
 
-    name: str
     spec: ModelSpec
     kind: str  # "diagonal" | "transport"
     model: DiagonalModel | None = None
     control: Coefficients | None = None
-    heat: HeatNeumannModel | None = None
     transport: TransportModel | None = None
     observation: Coefficients | None = None
     perturbation: RankOnePerturbation | None = None
@@ -369,7 +373,7 @@ def build_bundle(spec: ModelSpec, modes_override: int | None = None) -> ModelBun
         if modes_override is not None:
             raise PreconditionError("transport carries no mode truncation to override")
         transport = build_transport(control["r"], spec.noise_dim)
-        return ModelBundle(name=spec.name, spec=spec, kind="transport", transport=transport)
+        return ModelBundle(spec=spec, kind="transport", transport=transport)
 
     if control.get("preset") in HEAT_PRESETS:
         modes = modes_override if modes_override is not None else spec.modes
@@ -378,8 +382,7 @@ def build_bundle(spec: ModelSpec, modes_override: int | None = None) -> ModelBun
         pert = _build_perturbation(spec, modes)
         obs = _build_observation(spec, modes)
         return ModelBundle(
-            name=spec.name, spec=spec, kind="diagonal",
-            model=heat.model, control=heat.control, heat=heat,
+            spec=spec, kind="diagonal", model=heat.model, control=heat.control,
             observation=obs, perturbation=pert,
         )
 
@@ -402,8 +405,7 @@ def build_bundle(spec: ModelSpec, modes_override: int | None = None) -> ModelBun
     pert = _build_perturbation(spec, modes)
     obs = _build_observation(spec, modes)
     return ModelBundle(
-        name=spec.name, spec=spec, kind="diagonal",
-        model=model, control=ctrl, observation=obs, perturbation=pert,
+        spec=spec, kind="diagonal", model=model, control=ctrl, observation=obs, perturbation=pert,
     )
 
 

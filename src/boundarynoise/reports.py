@@ -50,25 +50,19 @@ def verdict_payload(v: SeriesVerdict) -> dict:
     return payload
 
 
-def build_report(command: str, flags: dict, spec: ModelSpec | None, results: dict) -> dict:
-    report = {
+def build_report(command: str, flags: dict, spec: ModelSpec, results: dict, elapsed: float) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
         "tool": {"name": "boundarynoise", "version": __version__},
         "command": command,
         "flags": flags,
+        "model": {"name": spec.name, "spec_sha256": spec.sha256()},
         "results": results,
         "timing": {
             "started_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "elapsed_seconds": float(elapsed),
         },
     }
-    if spec is not None:
-        report["model"] = {"name": spec.name, "spec_sha256": spec.sha256()}
-    return report
-
-
-def finish_report(report: dict, elapsed: float) -> dict:
-    report["timing"]["elapsed_seconds"] = float(elapsed)
-    return report
 
 
 def render_json(report: dict) -> str:

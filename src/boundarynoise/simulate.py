@@ -51,7 +51,7 @@ class CovarianceMatrix:
         return float(np.trace(self.matrix))
 
 
-def covariance_qt(model: DiagonalModel, ctrl: Coefficients, T: float, **gamma_kw) -> CovarianceMatrix:
+def covariance_qt(model: DiagonalModel, ctrl: Coefficients, T: float) -> CovarianceMatrix:
     """Entries ``Q_nm = (sum_k beta_nk beta_mk) (exp((lambda_n + lambda_m) T) - 1) / (lambda_n + lambda_m)``.
 
     The ``lambda_n + lambda_m = 0`` entries take the analytic limit ``T``
@@ -67,7 +67,7 @@ def covariance_qt(model: DiagonalModel, ctrl: Coefficients, T: float, **gamma_kw
     nz = pair != 0.0
     factor[nz] = np.expm1(pair[nz] * T) / pair[nz]
     matrix = ctrl.gram * factor
-    return CovarianceMatrix(matrix=matrix, horizon=float(T), trace_verdict=gamma_time(model, ctrl, T, **gamma_kw))
+    return CovarianceMatrix(matrix=matrix, horizon=float(T), trace_verdict=gamma_time(model, ctrl, T))
 
 
 def factor_psd(matrix: np.ndarray, tolerance: float = PSD_TOLERANCE) -> np.ndarray:

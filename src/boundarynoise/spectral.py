@@ -12,12 +12,13 @@ models and coefficient tables are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Sequence, Union
 
 import numpy as np
 
-from .errors import PreconditionError, SingularResolventError, TruncationMismatchError
+from .errors import PreconditionError, TruncationMismatchError
 
 NoiseDim = Union[int, Literal["countable"]]
 
@@ -132,8 +133,8 @@ class TailRule:
         if self.kind not in ("constant", "zero", "ell2"):
             raise PreconditionError(f"unknown tail rule kind {self.kind!r}")
         if self.kind == "ell2":
-            if self.value is None or self.value < 0:
-                raise PreconditionError("ell2 tail rule needs a nonnegative bound")
+            if self.value is None or not 0 <= self.value < math.inf:
+                raise PreconditionError("ell2 tail rule needs a finite nonnegative bound")
         if self.kind == "constant" and self.value is not None and self.value < 0:
             raise PreconditionError("constant tail weight must be nonnegative")
 
@@ -210,11 +211,6 @@ class Coefficients:
         return float(self.weights[-1])
 
 
-# The two operator roles share one table layout; keep distinct names for call sites.
-ControlCoefficients = Coefficients
-ObservationCoefficients = Coefficients
-
-
 def _check_paired(model: DiagonalModel, x: np.ndarray) -> np.ndarray:
     vec = np.asarray(x)
     if vec.shape != (model.mode_count,):
@@ -239,26 +235,6 @@ def evaluate_semigroup(model: DiagonalModel, t: float, x: np.ndarray) -> np.ndar
         raise PreconditionError(f"semigroup time must be nonnegative, got {t}")
     vec = _check_paired(model, x)
     return np.exp(model.eigenvalues * t) * vec
-
-
-def evaluate_resolvent(model: DiagonalModel, lam: complex, x: np.ndarray) -> np.ndarray:
-    """Resolvent action ``x_n -> x_n / (lam - lambda_n)``."""
-    vec = _check_paired(model, x)
-    gaps = lam - model.eigenvalues
-    hits = np.nonzero(gaps == 0)[0]
-    if hits.size:
-        raise SingularResolventError(lam, int(hits[0]))
-    return vec / gaps
-
-
-def extrapolation_norm(model: DiagonalModel, x: np.ndarray, beta: float) -> float:
-    """Norm of ``x`` in the completion under the resolvent at ``beta``: ``||R(beta,A)x||``."""
-    if beta <= growth_bound(model):
-        raise PreconditionError(
-            f"beta={beta} must exceed the growth bound {growth_bound(model)}"
-        )
-    vec = _check_paired(model, x)
-    return float(np.sqrt(np.sum(vec**2 / (beta - model.eigenvalues) ** 2)))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ and integrals go through scipy.integrate.quad only where the library uses
 closed forms.
 """
 
+import math
+
 import numpy as np
 
 
@@ -44,3 +46,13 @@ def piecewise_spectrum(rng, max_modes=16, lo=-50.0, hi=-0.1, w_hi=4.0):
     lam = rng.uniform(lo, hi, size=n)
     w = rng.uniform(0.0, w_hi, size=n)
     return lam, w
+
+
+def heat_field(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Evaluate ``sum_n x_n phi_n(xi)`` on a spatial grid for the heat cosine basis."""
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    out = np.full(xi.shape, x[0] / math.sqrt(math.pi))
+    for n in range(1, x.size):
+        out += x[n] * math.sqrt(2.0 / math.pi) * np.cos(n * xi)
+    return out

@@ -5,8 +5,12 @@ import pytest
 from scipy import integrate
 
 from boundarynoise import (
+    Coefficients,
+    DiagonalModel,
     PreconditionError,
     SingularResolventError,
+    TailRule,
+    TruncationMismatchError,
     Verdict,
     build_heat_neumann,
     build_transport,
@@ -17,9 +21,9 @@ from boundarynoise import (
     gamma_time,
     heat_dirichlet_closed_form,
     heat_dirichlet_hs_norm_quadrature,
-    heat_field,
 )
 from boundarynoise import FrequencyGrid
+from helpers import heat_field
 
 SQ_PI = math.sqrt(math.pi)
 SQ_2PI = math.sqrt(2.0 / math.pi)
@@ -168,8 +172,6 @@ class TestDirichletNorm:
             assert abs(spectral - quad) / quad <= 1e-6
 
     def test_single_mode(self):
-        from boundarynoise import Coefficients, DiagonalModel
-
         model = DiagonalModel.from_eigenvalues([-1.0])
         ctrl = Coefficients(np.array([[1.0]]))
         assert dirichlet_hs_norm_spectral(model, ctrl, 1.0) == pytest.approx(0.25)
@@ -179,6 +181,17 @@ class TestDirichletNorm:
         heat = build_heat_neumann("right", 8)
         with pytest.raises(SingularResolventError):
             dirichlet_hs_norm_spectral(heat.model, heat.control, -1.0)
+
+    def test_ell2_tail_certifies(self):
+        model = DiagonalModel.from_power(1.0, 2.0, 8, include_zero_mode=False)
+        ctrl = Coefficients(np.ones((8, 1)), tail=TailRule("ell2", 0.25))
+        val = dirichlet_hs_norm_spectral(model, ctrl, 1.0)
+        assert val == pytest.approx(float(np.sum(1.0 / (1.0 + np.arange(1, 9) ** 2) ** 2)), rel=1e-14)
+
+    def test_mode_count_mismatch(self):
+        heat = build_heat_neumann("right", 8)
+        with pytest.raises(TruncationMismatchError):
+            dirichlet_hs_norm_spectral(heat.model, Coefficients(np.ones((7, 1))), 1.0)
 
     def test_resolvent_dirichlet_identity(self):
         # solution-map columns satisfy D(lam) - D(mu) = (mu - lam) R(lam, A) D(mu) spectrally
@@ -212,22 +225,6 @@ class TestTransport:
     def test_norm_depends_only_on_real_part(self):
         tm = build_transport(1.0, 2)
         assert tm.dirichlet_hs_norm_sq(1.0 + 5.0j) == tm.dirichlet_hs_norm_sq(1.0)
-
-    def test_shift_nilpotency(self):
-        tm = build_transport(1.0, 1)
-        phi = lambda th: np.cos(th)
-        theta = np.linspace(-1.0, 0.0, 101)
-        at_r = tm.apply_shift(1.0, phi)(theta)
-        assert np.all(at_r == 0.0)
-        later = tm.apply_shift(2.5, phi)(theta)
-        assert np.all(later == 0.0)
-
-    def test_shift_before_nilpotency(self):
-        tm = build_transport(1.0, 1)
-        phi = lambda th: th
-        theta = np.array([-0.9, -0.5, -0.1])
-        out = tm.apply_shift(0.4, phi)(theta)
-        assert out == pytest.approx([-0.5, -0.1, 0.0])
 
 
 class TestDirichletFrequencyCriterion:

@@ -12,6 +12,7 @@ from boundarynoise import (
 )
 from boundarynoise.cli import main
 from boundarynoise.reports import strip_timing
+from helpers import piecewise_spectrum
 
 HEAT = {
     "name": "heat-right",
@@ -267,3 +268,83 @@ class TestCli:
             assert main(cmd + ["--model", path]) == 0
             report = json.loads(capsys.readouterr().out)
             walk(report["results"], False)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "--T", "nan"], "--T"),
+        (["check", "--T", "inf"], "--T"),
+        (["check", "--omega=-inf"], "--omega"),
+        (["simulate", "--dt", "nan"], "--dt"),
+    ])
+    def test_flag_rejected_with_exit_2(self, tmp_path, capsys, argv, flag):
+        path = write_spec(tmp_path, HEAT)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--model", path])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a finite number" in err
+
+    @pytest.mark.parametrize("values", [[-1.0, float("nan")], [-1.0, float("-inf")], [-1.0, -(10**400)]])
+    def test_non_finite_spec_number_names_field(self, tmp_path, capsys, values):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(EXPLICIT, spectrum={"type": "explicit", "values": values})))
+        assert main(["check", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "spectrum.values" in err
+        assert "finite" in err
+
+    def test_non_finite_control_and_delay_rejected(self):
+        bad_beta = dict(EXPLICIT, control={"type": "explicit", "beta": [[1.0], [float("inf")]]})
+        with pytest.raises(SpecValidationError) as err:
+            parse_model_dict(bad_beta)
+        assert any(path == "control.beta[1]" for path, _ in err.value.problems)
+        with pytest.raises(SpecValidationError) as err:
+            parse_model_dict(dict(TRANSPORT, control={"preset": "transport", "r": float("nan")}))
+        assert any(path == "control.r" for path, _ in err.value.problems)
+
+    @pytest.mark.parametrize("rule", ["ell2:nan", "ell2:inf"])
+    def test_non_finite_ell2_bound_rejected(self, rule):
+        bad = dict(EXPLICIT, control={"type": "explicit", "beta": [[1.0], [1.0]], "tail_rule": rule})
+        with pytest.raises(SpecValidationError) as err:
+            parse_model_dict(bad)
+        assert any(path == "control.tail_rule" for path, _ in err.value.problems)
+
+
+class TestDyadicTable:
+    def test_last_cumulative_is_partial_value(self, tmp_path, capsys):
+        rng = np.random.default_rng(41)
+        for k in range(20):
+            lam, w = piecewise_spectrum(rng)
+            spec = {
+                "name": f"finite-{k}", "modes": int(lam.size), "noise_dim": 1,
+                "spectrum": {"type": "explicit", "values": lam.tolist()},
+                "control": {"type": "explicit", "beta": [[b] for b in np.sqrt(w).tolist()]},
+            }
+            path = write_spec(tmp_path, spec)
+            n_range = int(rng.integers(1, 12))
+            argv = ["dyadic", "--model", path, "--freq-terms", str(n_range)]
+            assert main(argv) == 0
+            results = json.loads(capsys.readouterr().out)["results"]
+            partial = results["diagnostic"]["partial_value"]["value"]
+            rows = results["terms"]["rows"]
+            assert rows[-1][2] == partial
+            indices = [row[0] for row in rows]
+            assert indices == sorted(indices, key=lambda n: (abs(n), n))
+            assert main(argv + ["--format", "csv"]) == 0
+            last = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+            assert float(last[2]) == partial
+
+
+class TestReportComposition:
+    @pytest.mark.parametrize("payload", [dict(HEAT_FB, modes=16), TRANSPORT, EXPLICIT])
+    def test_sections_equal_standalone_results(self, tmp_path, capsys, payload):
+        path = write_spec(tmp_path, payload)
+        assert main(["report", "--model", path]) == 0
+        sections = json.loads(capsys.readouterr().out)["results"]
+        commands = {"check": "check", "covariance": "covariance", "dyadic": "dyadic",
+                    "perturbation": "perturb-check"}
+        assert sections
+        for section, results in sections.items():
+            assert main([commands[section], "--model", path]) == 0
+            assert json.loads(capsys.readouterr().out)["results"] == results

@@ -8,12 +8,9 @@ from boundarynoise import (
     Coefficients,
     DiagonalModel,
     PreconditionError,
-    SingularResolventError,
     TailRule,
     TruncationMismatchError,
-    evaluate_resolvent,
     evaluate_semigroup,
-    extrapolation_norm,
     growth_bound,
     yosida_apply,
 )
@@ -62,32 +59,6 @@ class TestSemigroup:
             evaluate_semigroup(model, 1.0, np.array([1.0]))
 
 
-class TestResolvent:
-    def test_single_mode(self):
-        model = DiagonalModel.from_eigenvalues([-1.0])
-        assert evaluate_resolvent(model, 1.0, np.array([1.0]))[0] == pytest.approx(0.5)
-
-    def test_entrywise(self):
-        model = DiagonalModel.from_eigenvalues([-1.0, -2.0])
-        out = evaluate_resolvent(model, 0.0, np.array([1.0, 1.0]))
-        assert out == pytest.approx([1.0, 0.5])
-
-    def test_pole_names_mode(self):
-        model = DiagonalModel.from_eigenvalues([-1.0])
-        with pytest.raises(SingularResolventError) as err:
-            evaluate_resolvent(model, -1.0, np.array([1.0]))
-        assert err.value.mode == 0
-
-    def test_resolvent_identity(self):
-        rng = np.random.default_rng(5)
-        model = heat_model(32)
-        x = rng.standard_normal(32)
-        for lam, mu in [(1.0, 2.5), (0.5 + 1j, 3.0 - 2j), (10.0, 0.25)]:
-            lhs = evaluate_resolvent(model, lam, x) - evaluate_resolvent(model, mu, x)
-            rhs = (mu - lam) * evaluate_resolvent(model, lam, evaluate_resolvent(model, mu, x))
-            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
-
-
 class TestGrowthBound:
     def test_heat_is_zero(self):
         assert growth_bound(heat_model()) == 0.0
@@ -103,34 +74,6 @@ class TestGrowthBound:
         model = DiagonalModel.from_power(1.0, 2.0, 3, include_zero_mode=True, lambda0=-50.0)
         # materialized: -50, -1, -4; tail starts at -9
         assert growth_bound(model) == -1.0
-
-
-class TestExtrapolationNorm:
-    def test_single_mode(self):
-        model = DiagonalModel.from_eigenvalues([-1.0])
-        assert extrapolation_norm(model, np.array([2.0]), 1.0) == pytest.approx(1.0)
-
-    def test_two_modes(self):
-        model = DiagonalModel.from_eigenvalues([-1.0, -3.0])
-        out = extrapolation_norm(model, np.array([2.0, 4.0]), 1.0)
-        assert out == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-    def test_zero_vector(self):
-        model = DiagonalModel.from_eigenvalues([-1.0, -3.0])
-        assert extrapolation_norm(model, np.zeros(2), 1.0) == 0.0
-
-    def test_dominated_by_state_norm(self):
-        rng = np.random.default_rng(17)
-        model = heat_model(32)
-        beta = 2.0
-        for _ in range(20):
-            x = rng.standard_normal(32)
-            bound = np.linalg.norm(x) / (beta - growth_bound(model))
-            assert extrapolation_norm(model, x, beta) <= bound * (1 + 1e-12)
-
-    def test_rejects_beta_below_growth_bound(self):
-        with pytest.raises(PreconditionError):
-            extrapolation_norm(heat_model(4), np.zeros(4), -1.0)
 
 
 class TestYosida:
