@@ -140,7 +140,8 @@ def cmd_simulate(args, bundle: ModelBundle) -> tuple[dict, list | None, list | N
         "horizon": num(args.T, "closed_form"),
         "ensemble": ensemble_summary(stats),
     }
-    return results, ["sample", "time", "mode", "value"], path_rows(ens)
+    rows = path_rows(ens) if args.format == "csv" else None  # JSON carries the summary only
+    return results, ["sample", "time", "mode", "value"], rows
 
 
 def cmd_perturb_check(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
-from scipy import integrate
 
 from ._tails import power_envelope_tail
 from .admissibility import (
@@ -135,6 +134,8 @@ def heat_dirichlet_hs_norm_quadrature(
     Integrates ``|phi(xi)|^2`` of :func:`heat_dirichlet_closed_form` over
     ``[0, pi]`` -- an oracle independent of the spectral route.
     """
+    from scipy import integrate  # imported here, off the CLI's import path
+
     f = lambda s: abs(heat_dirichlet_closed_form(lam, s, side)) ** 2
     value, _ = integrate.quad(f, 0.0, math.pi, epsabs=0.0, epsrel=rel_tol, limit=200)
     return float(value)

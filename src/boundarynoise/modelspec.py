@@ -51,6 +51,9 @@ from .perturbation import RankOnePerturbation
 from .spectral import COUNTABLE, Coefficients, DiagonalModel, TailRule
 
 HEAT_PRESETS = ("heat_neumann_left", "heat_neumann_right")
+#: Bytes a dense float64 mode-by-mode table (covariance, perturbed generator)
+#: may take; bounds the mode count of every diagonal bundle.
+MEMORY_BUDGET_BYTES = 2**30
 _TOP_FIELDS = {"name", "spectrum", "modes", "noise_dim", "control", "perturbation", "observation"}
 
 
@@ -375,8 +378,15 @@ def build_bundle(spec: ModelSpec, modes_override: int | None = None) -> ModelBun
         transport = build_transport(control["r"], spec.noise_dim)
         return ModelBundle(spec=spec, kind="transport", transport=transport)
 
+    modes = modes_override if modes_override is not None else spec.modes
+    table_bytes = 8 * modes * modes
+    if table_bytes > MEMORY_BUDGET_BYTES:
+        source = "--modes" if modes_override is not None else "modes"
+        raise PreconditionError(
+            f"{source}={modes}: a dense {modes} x {modes} mode table needs {table_bytes:.3g} bytes, "
+            f"above the {MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget"
+        )
     if control.get("preset") in HEAT_PRESETS:
-        modes = modes_override if modes_override is not None else spec.modes
         side = "left" if control["preset"].endswith("left") else "right"
         heat = build_heat_neumann(side, modes)
         pert = _build_perturbation(spec, modes)
@@ -388,7 +398,6 @@ def build_bundle(spec: ModelSpec, modes_override: int | None = None) -> ModelBun
 
     # explicit control
     spectrum = spec.spectrum
-    modes = spec.modes
     if modes_override is not None:
         # the beta table is materialized at the spec's truncation; extending it
         # would need tail-rule synthesis, re-truncating would silently drop rows

@@ -23,12 +23,23 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy import linalg
-from scipy.integrate import trapezoid
 
 from .admissibility import SeriesVerdict, Verdict, _converged, _inconclusive, gamma_time
 from .errors import PreconditionError, ResolutionError, TruncationMismatchError
 from .spectral import Coefficients, DiagonalModel, evaluate_semigroup
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    # imported on first use, off the CLI's import path; looked up on every call
+    # so that a wrapper installed on scipy.linalg.expm (perfbench) sees each one
+    from scipy import linalg
+
+    return linalg.expm(a)
+
+
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid rule down the columns of ``y``; the arithmetic of ``scipy.integrate.trapezoid``."""
+    return np.add.reduce(np.diff(x)[:, None] * (y[1:] + y[:-1]) / 2.0, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +211,7 @@ def perturbed_semigroup_apply(
         raise TruncationMismatchError("state vector does not match the model truncation")
     if method == "galerkin":
         gen = galerkin_perturbed_generator(model, pert)
-        return linalg.expm(t * gen) @ x
+        return _expm(t * gen) @ x
     if method != "volterra":
         raise PreconditionError(f"unknown method {method!r}")
     if t == 0.0:
@@ -219,7 +230,7 @@ def perturbed_semigroup_apply(
     kernel = lambda tau: np.exp(np.multiply.outer(np.asarray(tau, dtype=float), lam)) @ mb
     g = volterra_resolve(VolterraProblem(forcing, kernel, sig, grid))
     decay = np.exp(np.multiply.outer(t - grid, lam))
-    conv = trapezoid(decay * g[:, None], grid, axis=0)
+    conv = _trapezoid(decay * g[:, None], grid)
     return np.exp(lam * t) * x + pert.b * conv
 
 
@@ -282,7 +293,7 @@ def perturbed_gamma_time(
         b_cols = ctrl.array[:n]
 
         def hs_sq(t: float) -> float:
-            return float(np.linalg.norm(linalg.expm(t * gen) @ b_cols) ** 2)
+            return float(np.linalg.norm(_expm(t * gen) @ b_cols) ** 2)
 
         values.append(_gauss_legendre_integral(hs_sq, T, panels, nodes))
 
@@ -315,9 +326,9 @@ def perturbed_orbit_defect(
         raise PreconditionError("time must be positive")
     gen = galerkin_perturbed_generator(model, pert)
     ss = np.linspace(0.0, t, quad_points)
-    feed = np.array([pert.m @ (linalg.expm(s * gen) @ x) for s in ss])
+    feed = np.array([pert.m @ (_expm(s * gen) @ x) for s in ss])
     decay = np.exp(np.multiply.outer(t - ss, model.eigenvalues))
-    conv = trapezoid(decay * feed[:, None], ss, axis=0) * pert.b
-    lhs = linalg.expm(t * gen) @ x - evaluate_semigroup(model, t, x)
+    conv = _trapezoid(decay * feed[:, None], ss) * pert.b
+    lhs = _expm(t * gen) @ x - evaluate_semigroup(model, t, x)
     scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(conv)), 1e-300)
     return float(np.linalg.norm(lhs - conv)) / scale

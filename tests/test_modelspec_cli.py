@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import boundarynoise
 from boundarynoise import (
     SpecValidationError,
     build_bundle,
@@ -268,6 +273,49 @@ class TestCli:
             assert main(cmd + ["--model", path]) == 0
             report = json.loads(capsys.readouterr().out)
             walk(report["results"], False)
+
+    def test_simulate_json_builds_no_path_rows(self, tmp_path, capsys, monkeypatch):
+        def refuse(ens):
+            raise AssertionError("JSON reports carry no path rows")
+
+        monkeypatch.setattr("boundarynoise.cli.path_rows", refuse)
+        path = write_spec(tmp_path, dict(HEAT, modes=2))
+        assert main(["simulate", "--model", path, "--samples", "3", "--dt", "0.1"]) == 0
+
+
+class TestModeBudget:
+    @pytest.mark.parametrize("argv, source", [
+        (["check", "--modes", "1000000000000"], "--modes=1000000000000"),
+        (["covariance", "--modes", "1000000"], "--modes=1000000"),  # its N^2 table would be 8 TB
+        (["check"], "modes=100000"),
+    ])
+    def test_beyond_budget_exits_3_naming_source(self, tmp_path, capsys, argv, source):
+        path = write_spec(tmp_path, dict(HEAT, modes=100000))
+        assert main([argv[0], "--model", path, *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {source}:")
+        assert "GiB memory budget" in err
+
+
+def _scipy_modules_in_child(code: str) -> list:
+    src = str(Path(boundarynoise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestImportPath:
+    def test_package_import_loads_no_scipy(self):
+        assert _scipy_modules_in_child("import boundarynoise") == []
+
+    @pytest.mark.parametrize("command", ["check", "dyadic", "scan-weiss", "covariance", "simulate"])
+    def test_cli_commands_load_no_scipy(self, tmp_path, command):
+        path = write_spec(tmp_path, dict(HEAT, modes=64))
+        argv = [command, "--model", path, "--output", str(tmp_path / "out.json")]
+        code = f"from boundarynoise.cli import main\nassert main({argv!r}) == 0"
+        assert _scipy_modules_in_child(code) == []
 
 
 class TestNonFiniteInputs:

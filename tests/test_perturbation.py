@@ -23,6 +23,7 @@ from boundarynoise import (
     perturbed_semigroup_apply,
     volterra_resolve,
 )
+from boundarynoise.perturbation import _trapezoid
 from helpers import taylor_expm
 
 
@@ -144,6 +145,15 @@ class TestPerturbedSemigroup:
             pert = RankOnePerturbation(b=rng.standard_normal(n), m=rng.standard_normal(n) * 0.4)
             x = rng.standard_normal(n)
             assert perturbed_orbit_defect(model, pert, rng.uniform(0.2, 1.0), x, quad_points=801) <= 1e-4
+
+
+class TestTrapezoid:
+    @pytest.mark.parametrize("points", [5, 600, 2049])
+    def test_bit_identical_to_scipy(self, points):
+        rng = np.random.default_rng(points)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, points))
+        y = rng.standard_normal((points, 64)) * np.exp(rng.uniform(-20.0, 20.0, (points, 1)))
+        assert _trapezoid(y, x).tobytes() == integrate.trapezoid(y, x, axis=0).tobytes()
 
 
 class TestVolterraSolver:
