@@ -34,7 +34,7 @@ from .admissibility import (
 )
 from .errors import BoundaryNoiseError, PreconditionError, SpecValidationError
 from .models import dirichlet_frequency_criterion
-from .modelspec import ModelBundle, build_bundle, parse_model
+from .modelspec import ModelBundle, build_bundle, parse_model, require_table_budget
 from .perturbation import perturbed_gamma_time
 from .reports import (
     build_report,
@@ -75,6 +75,7 @@ def cmd_check(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None
     if bundle.kind == "transport":
         routes["dirichlet_frequency"] = dirichlet_frequency_criterion(bundle.transport, omega, T, n_max)
     else:
+        require_table_budget("--freq-terms", n_max, bundle.model.mode_count, "frequency table")
         routes["time_domain"] = gamma_time(bundle.model, bundle.control, T)
         grid = FrequencyGrid(omega, T, n_max)
         routes["dual_frequency"] = frequency_series(bundle.model, bundle.control, grid)
@@ -122,6 +123,7 @@ def cmd_simulate(args, bundle: ModelBundle) -> tuple[dict, list | None, list | N
             "the transport model has no spectral representation to simulate; "
             "the override applies to diagonal models only"
         )
+    require_table_budget("--samples", args.samples, bundle.model.mode_count, "sample table")
     if args.dt is None:
         ens = sample_exact(bundle.model, bundle.control, args.T, args.samples, args.seed)
     else:
@@ -179,10 +181,19 @@ def cmd_scan_weiss(args, bundle: ModelBundle) -> tuple[dict, list | None, list |
     return results, header, rows
 
 
+#: Largest dyadic range whose points ``2**n`` are finite floats.
+_MAX_DYADIC_RANGE = sys.float_info.max_exp - 1
+
+
 def cmd_dyadic(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
     if bundle.kind != "diagonal":
         raise PreconditionError("the dyadic diagnostic needs a spectral (diagonal) model")
     n_range = args.freq_terms if args.freq_terms is not None else 10
+    if n_range > _MAX_DYADIC_RANGE:
+        raise PreconditionError(
+            f"--freq-terms={n_range}: the dyadic point 2**{n_range} overflows a float; "
+            f"the range is at most {_MAX_DYADIC_RANGE}"
+        )
     verdict = dyadic_diagnostic(bundle.model, bundle.control, n_range)
     header = ["index", "term", "cumulative"]
     rows = series_rows(*dyadic_terms(bundle.model, bundle.control, n_range))

@@ -369,6 +369,16 @@ class ModelBundle:
     perturbation: RankOnePerturbation | None = None
 
 
+def require_table_budget(source: str, value: int, modes: int, table: str) -> None:
+    """Refuse ``source=value`` when its dense float64 ``value x modes`` table exceeds the budget."""
+    table_bytes = 8 * value * modes
+    if table_bytes > MEMORY_BUDGET_BYTES:
+        raise PreconditionError(
+            f"{source}={value}: a dense {value} x {modes} {table} needs {table_bytes:.3g} bytes, "
+            f"above the {MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget"
+        )
+
+
 def build_bundle(spec: ModelSpec, modes_override: int | None = None) -> ModelBundle:
     """Materialize the spec.  ``modes_override`` re-truncates preset or power models."""
     control = spec.control
@@ -379,13 +389,7 @@ def build_bundle(spec: ModelSpec, modes_override: int | None = None) -> ModelBun
         return ModelBundle(spec=spec, kind="transport", transport=transport)
 
     modes = modes_override if modes_override is not None else spec.modes
-    table_bytes = 8 * modes * modes
-    if table_bytes > MEMORY_BUDGET_BYTES:
-        source = "--modes" if modes_override is not None else "modes"
-        raise PreconditionError(
-            f"{source}={modes}: a dense {modes} x {modes} mode table needs {table_bytes:.3g} bytes, "
-            f"above the {MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget"
-        )
+    require_table_budget("--modes" if modes_override is not None else "modes", modes, modes, "mode table")
     if control.get("preset") in HEAT_PRESETS:
         side = "left" if control["preset"].endswith("left") else "right"
         heat = build_heat_neumann(side, modes)

@@ -203,7 +203,10 @@ class TestCli:
         path = write_spec(tmp_path, HEAT_FB)
         assert main(["perturb-check", "--model", path, "--T", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["results"]["perturbed"]["verdict"] == "Converged"
+        # the exact heat-32 ladder 0.80637 / 0.82832 / 0.83876 moves 1.24% in its last step
+        perturbed = report["results"]["perturbed"]
+        assert perturbed["verdict"] == "Inconclusive"
+        assert "not Cauchy" in perturbed["evidence"]
 
     def test_perturb_check_requires_block(self, tmp_path, capsys):
         path = write_spec(tmp_path, HEAT)
@@ -288,13 +291,18 @@ class TestModeBudget:
         (["check", "--modes", "1000000000000"], "--modes=1000000000000"),
         (["covariance", "--modes", "1000000"], "--modes=1000000"),  # its N^2 table would be 8 TB
         (["check"], "modes=100000"),
+        # a 1e12 x 64 frequency table would take 7.28 TiB, a 1e12 x 64 sample table 466 TiB
+        (["check", "--modes", "64", "--freq-terms", "1000000000000"], "--freq-terms=1000000000000"),
+        (["simulate", "--modes", "64", "--samples", "1000000000000"], "--samples=1000000000000"),
+        (["dyadic", "--modes", "64", "--freq-terms", "1024"], "--freq-terms=1024"),
+        (["dyadic", "--modes", "64", "--freq-terms", "1000000000000"], "--freq-terms=1000000000000"),
     ])
     def test_beyond_budget_exits_3_naming_source(self, tmp_path, capsys, argv, source):
         path = write_spec(tmp_path, dict(HEAT, modes=100000))
         assert main([argv[0], "--model", path, *argv[1:]]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {source}:")
-        assert "GiB memory budget" in err
+        assert ("overflows a float" if argv[0] == "dyadic" else "GiB memory budget") in err
 
 
 def _scipy_modules_in_child(code: str) -> list:

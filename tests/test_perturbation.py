@@ -23,7 +23,7 @@ from boundarynoise import (
     perturbed_semigroup_apply,
     volterra_resolve,
 )
-from boundarynoise.perturbation import _trapezoid
+from boundarynoise.perturbation import _expm, _trapezoid
 from helpers import taylor_expm
 
 
@@ -31,6 +31,19 @@ def two_mode():
     model = DiagonalModel.from_eigenvalues([-1.0, -2.0])
     pert = RankOnePerturbation(b=[1.0, 1.0], m=[0.3, 0.4])
     return model, pert
+
+
+def heat_feedback(side, modes):
+    """Heat with right-end control, fed back through the ``side`` control column and ``m = constant_one``.
+
+    Left-side feedback makes the generator lower triangular with diagonal
+    entries ``-(1/sqrt(pi)) sqrt(pi) = -0.9999999999999999`` and ``-1`` one ulp
+    apart.  scipy's triangular squaring branch returns entry (1, 0) of
+    ``expm(0.5 A)`` as 0 instead of -0.4289 on it.
+    """
+    heat = build_heat_neumann("right", modes)
+    b = build_heat_neumann(side, modes).control.array[:, 0]
+    return heat, RankOnePerturbation(b=b, m=constant_one_feedback(modes))
 
 
 class TestGenerator:
@@ -99,6 +112,13 @@ class TestPerturbedSemigroup:
             oracle = taylor_expm(galerkin_perturbed_generator(model, pert), t) @ x
             assert np.linalg.norm(ours - oracle) <= 1e-8 * max(np.linalg.norm(oracle), 1e-12)
 
+    def test_left_feedback_matches_taylor_expm_oracle(self):
+        heat, pert = heat_feedback("left", 64)
+        x = np.random.default_rng(5).standard_normal(64)
+        ours = perturbed_semigroup_apply(heat.model, pert, 0.5, x, method="galerkin")
+        oracle = taylor_expm(galerkin_perturbed_generator(heat.model, pert), 0.5) @ x
+        assert np.linalg.norm(ours - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
     def test_volterra_route_agrees(self):
         model, pert = two_mode()
         x = np.array([1.0, 0.0])
@@ -145,6 +165,43 @@ class TestPerturbedSemigroup:
             pert = RankOnePerturbation(b=rng.standard_normal(n), m=rng.standard_normal(n) * 0.4)
             x = rng.standard_normal(n)
             assert perturbed_orbit_defect(model, pert, rng.uniform(0.2, 1.0), x, quad_points=801) <= 1e-4
+
+
+class TestScaledExponential:
+    @pytest.mark.parametrize("norm, m", [(0.0, 1), (0.5, 1), (1.0, 1), (4.0, 4), (4.000001, 8), (3000.0, 4096)])
+    def test_least_power_of_two_step_count(self, norm, m):
+        a = np.array([[-norm, 0.0], [0.0, 0.0]])
+        step, got = _expm(a, 1.0)
+        assert got == m
+        assert step[0, 0] == pytest.approx(math.exp(-norm / m), rel=1e-14)
+
+    @pytest.mark.parametrize("t", [0.5 / 2048, 0.5])
+    def test_left_feedback_propagator_matches_taylor_expm(self, t):
+        # t = 0.5 / 2048 is the step perturbed_orbit_defect propagates by at its default grid
+        heat, pert = heat_feedback("left", 64)
+        gen = galerkin_perturbed_generator(heat.model, pert)
+        oracle = taylor_expm(gen, t)
+        assert np.linalg.norm(np.linalg.matrix_power(*_expm(gen, t)) - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    def test_scipy_sees_only_norm_at_most_one(self, monkeypatch):
+        from scipy import linalg
+
+        norms = []
+        expm = linalg.expm
+
+        def recording(a):
+            norms.append(float(np.linalg.norm(a, 1)))
+            return expm(a)
+
+        monkeypatch.setattr(linalg, "expm", recording)
+        heat, pert = heat_feedback("left", 64)
+        perturbed_gamma_time(heat.model, pert, heat.control, 1.0, levels=(16, 32, 64))
+        assert len(norms) == 3
+        x = np.ones(64)
+        perturbed_semigroup_apply(heat.model, pert, 0.5, x)
+        perturbed_orbit_defect(heat.model, pert, 0.5, x)
+        assert len(norms) == 5
+        assert max(norms) <= 1.0
 
 
 class TestTrapezoid:
@@ -211,13 +268,15 @@ class TestVolterraSolver:
 
 class TestPerturbedGamma:
     def test_zero_feedback_reduces_to_gamma_time(self):
-        model, _ = two_mode()
-        pert = RankOnePerturbation(b=[1.0, 1.0], m=[0.0, 0.0])
-        ctrl = Coefficients(np.array([[1.0], [1.0]]))
-        out = perturbed_gamma_time(model, pert, ctrl, 1.0)
-        base = gamma_time(model, ctrl, 1.0)
-        assert out.verdict is Verdict.CONVERGED
-        assert out.value == pytest.approx(base.value, rel=1e-9)
+        two, _ = two_mode()
+        heat = build_heat_neumann("right", 64)
+        for model, ctrl in [(two, Coefficients(np.array([[1.0], [1.0]]))), (heat.model, heat.control)]:
+            pert = RankOnePerturbation(b=np.ones(model.mode_count), m=np.zeros(model.mode_count))
+            out = perturbed_gamma_time(model, pert, ctrl, 1.0)
+            base = gamma_time(model, ctrl, 1.0)
+            assert out.verdict is Verdict.CONVERGED
+            # the ladder's top level is the materialized sum, without the certified mode tail
+            assert out.value == pytest.approx(base.partial_value, rel=1e-12)
 
     def test_single_mode_closed_form(self):
         model = DiagonalModel.from_eigenvalues([-1.0])
@@ -234,6 +293,33 @@ class TestPerturbedGamma:
         out = perturbed_gamma_time(heat.model, pert, heat.control, 1.0, levels=(16, 32, 64))
         assert out.verdict is Verdict.CONVERGED
         assert out.tail_bound <= 0.01 * out.value
+
+    def test_right_feedback_matches_eig_quad_reference(self):
+        # right-side feedback: diagonal 0.9999999999999999, -1, -4, ...; well separated, so eig is safe
+        heat, pert = heat_feedback("right", 64)
+        lam, vec = np.linalg.eig(galerkin_perturbed_generator(heat.model, pert))
+        coef = np.linalg.solve(vec, heat.control.array[:, 0])
+        ref, _ = integrate.quad(lambda t: float(np.linalg.norm(vec @ (np.exp(lam * t) * coef)) ** 2),
+                                0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-13)
+        out = perturbed_gamma_time(heat.model, pert, heat.control, 1.0, levels=(16, 32, 64))
+        assert out.value == pytest.approx(ref, rel=1e-9)
+
+    def test_left_feedback_matches_dyadic_quadrature_of_taylor_expm(self):
+        # the generator's two leading diagonal entries are an ulp apart (a defective
+        # pair for eig), so the reference integrates the Taylor exponential instead:
+        # Gauss-Legendre on [2^-j-1, 2^-j], j < 50, resolves the boundary layer at 0;
+        # [0, 2^-50] holds at most ||B||^2 2^-50
+        heat, pert = heat_feedback("left", 32)
+        gen = galerkin_perturbed_generator(heat.model, pert)
+        cols = heat.control.array
+        xs, ws = np.polynomial.legendre.leggauss(16)
+        ref = 0.0
+        for j in range(50):
+            mid, half = 0.75 * 2.0**-j, 0.25 * 2.0**-j
+            ref += half * sum(w * np.linalg.norm(taylor_expm(gen, mid + half * x) @ cols) ** 2
+                              for x, w in zip(xs, ws))
+        out = perturbed_gamma_time(heat.model, pert, heat.control, 1.0, levels=(16, 32))
+        assert out.value == pytest.approx(ref, rel=1e-9)
 
     def test_requires_solvable_base_problem(self):
         model = DiagonalModel.from_power(1.0, 1.0, 4, include_zero_mode=False)
