@@ -41,7 +41,7 @@ from .errors import (
     TruncationMismatchError,
     UnsupportedRepresentationError,
 )
-from .spectral import Coefficients, DiagonalModel, exp_integral, growth_bound
+from .spectral import Coefficients, DiagonalModel, _require_paired, exp_integral, growth_bound
 
 #: Default relative width target for certified remainder brackets.
 REL_TAIL_TARGET = 1e-10
@@ -106,6 +106,9 @@ class SeriesVerdict:
 
 
 def _converged(partial: float, tail_value: float, tail_width: float, evidence: str) -> SeriesVerdict:
+    """The one constructor of Converged verdicts: a sum that is not finite in float64 certifies nothing."""
+    if not (math.isfinite(partial) and math.isfinite(tail_value) and math.isfinite(tail_width)):
+        return _inconclusive(partial, "the sum is not finite in float64")
     return SeriesVerdict(partial, tail_value, tail_width, Verdict.CONVERGED, evidence)
 
 
@@ -139,13 +142,6 @@ def _require_diagonal(model) -> DiagonalModel:
             "only the closed-form Dirichlet route applies to it"
         )
     return model
-
-
-def _require_paired(model: DiagonalModel, coeffs: Coefficients) -> None:
-    if coeffs.mode_count != model.mode_count:
-        raise TruncationMismatchError(
-            f"coefficient table has {coeffs.mode_count} modes, model has {model.mode_count}"
-        )
 
 
 def certify_tail(
@@ -271,15 +267,9 @@ def frequency_series(model: DiagonalModel, coeffs: Coefficients, grid: Frequency
         raise PreconditionError(f"omega={omega:g} must exceed the growth bound {g:g}")
     w = coeffs.weights
     a = omega - model.eigenvalues  # all positive
-
-    kappa = 2.0 * math.pi * np.arange(1, n_max + 1) / T
-    partial = float(np.sum(w / a**2))
-    per_n = np.sum(w[None, :] / (a[None, :] ** 2 + kappa[:, None] ** 2), axis=1)
-    partial += float(np.sum(2.0 * per_n))
-
     line_lower, line_width = frequency_line_tail(a, T, n_max)
     return certify_tail(
-        partial, model, coeffs,
+        _frequency_partial(w, a, T, n_max), model, coeffs,
         lambda tail: float(line_sum_exact(
             np.array([omega + tail.offset + tail.c * float(tail.next_index) ** tail.p]), T)[0]),
         lambda tail, w_tail, target: frequency_mode_tail(
@@ -287,6 +277,13 @@ def frequency_series(model: DiagonalModel, coeffs: Coefficients, grid: Frequency
         known=(float(np.sum(w * line_lower)), float(np.sum(w * line_width))),
         note="; frequency remainder by arctan integral comparison",
     )
+
+
+def _frequency_partial(w: np.ndarray, a: np.ndarray, T: float, n_max: int) -> float:
+    """Frequency-grid partial sum ``sum_{|n| <= n_max} sum_m w_m / (a_m^2 + (2 pi n / T)^2)``."""
+    kappa = 2.0 * math.pi * np.arange(1, n_max + 1) / T
+    per_n = np.sum(w[None, :] / (a[None, :] ** 2 + kappa[:, None] ** 2), axis=1)
+    return float(np.sum(w / a**2)) + float(np.sum(2.0 * per_n))
 
 
 def parseval_identity_check(
@@ -324,13 +321,9 @@ def parseval_identity_check(
     if lhs == 0.0:
         return 0.0
     j_sq = np.expm1(-a * T) ** 2
-    kappa = 2.0 * math.pi * np.arange(1, n_terms + 1) / T
-    partial = float(np.sum(w * j_sq / a**2))
-    per_n = np.sum((w * j_sq)[None, :] / (a[None, :] ** 2 + kappa[:, None] ** 2), axis=1)
-    partial += float(np.sum(2.0 * per_n))
     lower, width = frequency_line_tail(a, T, n_terms)
     tail_mid = float(np.sum(w * j_sq * (lower + 0.5 * width)))
-    rhs = (partial + tail_mid) / T
+    rhs = (_frequency_partial(w * j_sq, a, T, n_terms) + tail_mid) / T
     return abs(lhs - rhs) / lhs
 
 
@@ -496,7 +489,6 @@ def adjoint_duality_check(
     pieces: int = 64,
     trials: int = 100,
     seed: int = 0,
-    subdiv: int = 8,
 ) -> float:
     """Max :func:`duality_residual` over random piecewise-constant controls and states."""
     if pieces < 1:
@@ -508,5 +500,5 @@ def adjoint_duality_check(
     for _ in range(trials):
         x = rng.standard_normal(model.mode_count)
         u = rng.standard_normal((pieces, ctrl.channel_count))
-        worst = max(worst, duality_residual(model, ctrl, T, u, x, subdiv=subdiv))
+        worst = max(worst, duality_residual(model, ctrl, T, u, x))
     return worst

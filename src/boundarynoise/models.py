@@ -28,12 +28,11 @@ from .admissibility import (
     Verdict,
     _converged,
     _diverged,
-    _require_paired,
     certify_tail,
     frequency_series,
 )
 from .errors import PreconditionError, SingularResolventError
-from .spectral import COUNTABLE, Coefficients, DiagonalModel, TailRule
+from .spectral import COUNTABLE, Coefficients, DiagonalModel, TailRule, _require_paired
 
 Side = Literal["left", "right"]
 
@@ -126,18 +125,17 @@ def heat_dirichlet_closed_form(lam: complex, xi: float, side: Side = "right", al
     return sign * alpha * num / (a * den)
 
 
-def heat_dirichlet_hs_norm_quadrature(
-    lam: complex, side: Side = "right", rel_tol: float = 1e-10
-) -> float:
+def heat_dirichlet_hs_norm_quadrature(lam: complex, side: Side = "right") -> float:
     """Squared Hilbert-Schmidt norm of the stationary solution map, by quadrature.
 
     Integrates ``|phi(xi)|^2`` of :func:`heat_dirichlet_closed_form` over
-    ``[0, pi]`` -- an oracle independent of the spectral route.
+    ``[0, pi]`` to relative tolerance 1e-10 -- an oracle independent of the
+    spectral route.
     """
     from scipy import integrate  # imported here, off the CLI's import path
 
     f = lambda s: abs(heat_dirichlet_closed_form(lam, s, side)) ** 2
-    value, _ = integrate.quad(f, 0.0, math.pi, epsabs=0.0, epsrel=rel_tol, limit=200)
+    value, _ = integrate.quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-10, limit=200)
     return float(value)
 
 

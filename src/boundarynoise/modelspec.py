@@ -110,14 +110,38 @@ def _number_list(value, path, problems, rows=None) -> list | None:
     return [float(v) for v in value]
 
 
+def _mode_rows(value, path, modes, problems) -> list | None:
+    """A non-empty list of equal-length rows of finite numbers, one row per mode."""
+    if not isinstance(value, list) or not value or not all(isinstance(row, list) for row in value):
+        problems.append((path, "must be a non-empty list of per-mode channel rows"))
+        return None
+    rows = []
+    for i, row in enumerate(value):
+        vals = _number_list(row, f"{path}[{i}]", problems)
+        if vals is not None and len(vals) != len(value[0]):
+            problems.append((f"{path}[{i}]", "ragged channel rows"))
+            vals = None
+        if vals is None:
+            return None
+        rows.append(vals)
+    if modes is not None and len(rows) != modes:
+        problems.append((path, f"expected {modes} mode rows, found {len(rows)}"))
+    return rows
+
+
+def _unknown_fields(obj: dict, allowed, prefix: str, problems) -> None:
+    """Report every field of ``obj`` outside ``allowed``, in the order the spec gives them."""
+    for key in obj:
+        if key not in allowed:
+            problems.append((f"{prefix}{key}", "unknown field"))
+
+
 def parse_model_dict(data: Any) -> ModelSpec:
     """Validate a loaded JSON object; raises :class:`SpecValidationError` with field paths."""
     problems: list[tuple[str, str]] = []
     if not isinstance(data, dict):
         raise SpecValidationError([("", "model spec must be a JSON object")])
-    for key in data:
-        if key not in _TOP_FIELDS:
-            problems.append((key, "unknown field"))
+    _unknown_fields(data, _TOP_FIELDS, "", problems)
 
     name = data.get("name")
     if not isinstance(name, str) or not name:
@@ -168,17 +192,13 @@ def _validate_spectrum(spectrum, problems):
         return None
     kind = spectrum.get("type")
     if kind == "explicit":
-        extra = set(spectrum) - {"type", "values"}
-        if extra:
-            problems.append((f"spectrum.{sorted(extra)[0]}", "unknown field"))
+        _unknown_fields(spectrum, {"type", "values"}, "spectrum.", problems)
         values = _number_list(spectrum.get("values"), "spectrum.values", problems)
         if values is None:
             return None
         return {"type": "explicit", "values": values}
     if kind == "power":
-        extra = set(spectrum) - {"type", "c", "p", "include_zero_mode"}
-        if extra:
-            problems.append((f"spectrum.{sorted(extra)[0]}", "unknown field"))
+        _unknown_fields(spectrum, {"type", "c", "p", "include_zero_mode"}, "spectrum.", problems)
         c = spectrum.get("c")
         p = spectrum.get("p")
         zero = spectrum.get("include_zero_mode", True)
@@ -218,18 +238,14 @@ def _validate_control(control, modes, noise_dim, spectrum, problems):
     if "preset" in control:
         preset = control["preset"]
         if preset in HEAT_PRESETS:
-            extra = set(control) - {"preset"}
-            if extra:
-                problems.append((f"control.{sorted(extra)[0]}", "unknown field"))
+            _unknown_fields(control, {"preset"}, "control.", problems)
             if modes is None:
                 problems.append(("modes", "required for heat presets"))
             if spectrum is not None and spectrum != {"type": "power", "c": 1.0, "p": 2.0, "include_zero_mode": True}:
                 problems.append(("spectrum", "heat presets imply the power spectrum c=1, p=2 with the zero mode"))
             return {"preset": preset}
         if preset == "transport":
-            extra = set(control) - {"preset", "r"}
-            if extra:
-                problems.append((f"control.{sorted(extra)[0]}", "unknown field"))
+            _unknown_fields(control, {"preset", "r"}, "control.", problems)
             r = control.get("r")
             if not _is_number(r) or r <= 0:
                 problems.append(("control.r", "transport preset needs a positive delay r"))
@@ -242,38 +258,18 @@ def _validate_control(control, modes, noise_dim, spectrum, problems):
         problems.append(("control.preset", f"unknown preset {preset!r}"))
         return {"preset": str(preset)}
     if control.get("type") == "explicit":
-        extra = set(control) - {"type", "beta", "tail_rule"}
-        if extra:
-            problems.append((f"control.{sorted(extra)[0]}", "unknown field"))
+        _unknown_fields(control, {"type", "beta", "tail_rule"}, "control.", problems)
         if spectrum is None:
             problems.append(("spectrum", "required for explicit control"))
         if modes is None:
             problems.append(("modes", "required for explicit control"))
-        beta = control.get("beta")
-        norm_beta = None
-        if not isinstance(beta, list) or not beta or not all(isinstance(row, list) for row in beta):
-            problems.append(("control.beta", "must be a non-empty list of per-mode channel rows"))
-        else:
-            norm_beta = []
-            width = len(beta[0])
-            for i, row in enumerate(beta):
-                vals = _number_list(row, f"control.beta[{i}]", problems)
-                if vals is None:
-                    norm_beta = None
-                    break
-                if len(vals) != width:
-                    problems.append((f"control.beta[{i}]", "ragged channel rows"))
-                    norm_beta = None
-                    break
-                norm_beta.append(vals)
-            if norm_beta is not None:
-                if modes is not None and len(norm_beta) != modes:
-                    problems.append(("control.beta", f"expected {modes} mode rows, found {len(norm_beta)}"))
-                if spectrum is not None and spectrum.get("type") == "explicit" and modes is not None \
-                        and len(spectrum["values"]) != modes:
-                    problems.append(("spectrum.values", f"expected {modes} eigenvalues"))
-                if noise_dim != COUNTABLE and norm_beta and len(norm_beta[0]) != noise_dim:
-                    problems.append(("control.beta", f"expected {noise_dim} channels, found {len(norm_beta[0])}"))
+        norm_beta = _mode_rows(control.get("beta"), "control.beta", modes, problems)
+        if norm_beta is not None:
+            if spectrum is not None and spectrum.get("type") == "explicit" and modes is not None \
+                    and len(spectrum["values"]) != modes:
+                problems.append(("spectrum.values", f"expected {modes} eigenvalues"))
+            if noise_dim != COUNTABLE and len(norm_beta[0]) != noise_dim:
+                problems.append(("control.beta", f"expected {noise_dim} channels, found {len(norm_beta[0])}"))
         out = {"type": "explicit", "beta": norm_beta if norm_beta is not None else []}
         if "tail_rule" in control:
             rule = _validate_tail_rule(control["tail_rule"], "control.tail_rule", problems)
@@ -291,9 +287,7 @@ def _validate_perturbation(pert, modes, control, problems):
     if pert.get("type") != "rank_one":
         problems.append(("perturbation.type", "only 'rank_one' is supported"))
         return None
-    extra = set(pert) - {"type", "b", "m"}
-    if extra:
-        problems.append((f"perturbation.{sorted(extra)[0]}", "unknown field"))
+    _unknown_fields(pert, {"type", "b", "m"}, "perturbation.", problems)
     heat_based = isinstance(control, dict) and control.get("preset") in HEAT_PRESETS
     b = pert.get("b")
     if isinstance(b, str):
@@ -321,23 +315,8 @@ def _validate_observation(obs, modes, problems):
     if obs.get("type") != "explicit":
         problems.append(("observation.type", "only 'explicit' is supported"))
         return None
-    extra = set(obs) - {"type", "gamma", "tail_rule"}
-    if extra:
-        problems.append((f"observation.{sorted(extra)[0]}", "unknown field"))
-    gamma = obs.get("gamma")
-    norm = None
-    if not isinstance(gamma, list) or not gamma or not all(isinstance(row, list) for row in gamma):
-        problems.append(("observation.gamma", "must be a non-empty list of per-mode rows"))
-    else:
-        norm = []
-        for i, row in enumerate(gamma):
-            vals = _number_list(row, f"observation.gamma[{i}]", problems)
-            if vals is None:
-                norm = None
-                break
-            norm.append(vals)
-        if norm is not None and modes is not None and len(norm) != modes:
-            problems.append(("observation.gamma", f"expected {modes} mode rows, found {len(norm)}"))
+    _unknown_fields(obs, {"type", "gamma", "tail_rule"}, "observation.", problems)
+    norm = _mode_rows(obs.get("gamma"), "observation.gamma", modes, problems)
     out = {"type": "explicit", "gamma": norm if norm is not None else []}
     if "tail_rule" in obs:
         rule = _validate_tail_rule(obs["tail_rule"], "observation.tail_rule", problems)

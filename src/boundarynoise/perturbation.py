@@ -26,7 +26,7 @@ import numpy as np
 
 from .admissibility import SeriesVerdict, Verdict, _converged, _inconclusive, gamma_time
 from .errors import PreconditionError, ResolutionError, TruncationMismatchError
-from .spectral import Coefficients, DiagonalModel, evaluate_semigroup
+from .spectral import Coefficients, DiagonalModel, _require_paired, evaluate_semigroup
 
 #: The ladder is Cauchy when its last two levels agree within this fraction.
 LADDER_REL_TOL = 0.01
@@ -79,8 +79,7 @@ class RankOnePerturbation:
 
 def galerkin_perturbed_generator(model: DiagonalModel, pert: RankOnePerturbation, n: int | None = None) -> np.ndarray:
     """The truncated perturbed generator ``diag(lambda)[:n] + outer(b, m)[:n, :n]``."""
-    if pert.mode_count != model.mode_count:
-        raise TruncationMismatchError("perturbation does not match the model truncation")
+    _require_paired(model, pert)
     total = model.mode_count
     if n is None:
         n = total

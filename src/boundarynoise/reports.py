@@ -76,32 +76,43 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
-def covariance_rows(matrix: np.ndarray) -> list[list]:
-    rows = []
-    n = matrix.shape[0]
-    for i in range(n):
-        for j in range(n):
-            rows.append([i, j, float(matrix[i, j])])
+def table_rows(*columns) -> list[list]:
+    """Rows of equal-length columns; ``.tolist()`` keeps ints as ints and floats as floats.
+
+    Columns are converted one at a time, so one column list at most lives beside the rows.
+    """
+    rows = [[None] * len(columns) for _ in range(len(columns[0]))]
+    for k, col in enumerate(columns):
+        for row, value in zip(rows, np.asarray(col).tolist()):
+            row[k] = value
     return rows
+
+
+def _shared(values) -> np.ndarray:
+    # one Python object per distinct index, shared by every row that repeats it
+    return np.asarray(values).astype(object)
+
+
+def covariance_rows(matrix: np.ndarray) -> list[list]:
+    n = matrix.shape[0]
+    idx = _shared(np.arange(n))
+    return table_rows(np.repeat(idx, n), np.tile(idx, n), matrix.ravel())
 
 
 def series_rows(indices, terms) -> list[list]:
-    rows = []
-    acc = 0.0
-    for idx, term in zip(indices, terms):
-        acc += float(term)
-        rows.append([int(idx), float(term), acc])
-    return rows
+    # cumsum adds in table order, the order the diagnostic sums its terms in
+    terms = np.asarray(terms, dtype=float)
+    return table_rows(np.asarray(indices, dtype=int), terms, np.cumsum(terms))
 
 
 def path_rows(ensemble: PathEnsemble) -> list[list]:
-    rows = []
     samples, times, modes = ensemble.values.shape
-    for s in range(samples):
-        for t in range(times):
-            for n in range(modes):
-                rows.append([s, float(ensemble.times[t]), n, float(ensemble.values[s, t, n])])
-    return rows
+    return table_rows(
+        np.repeat(_shared(np.arange(samples)), times * modes),
+        np.tile(np.repeat(_shared(ensemble.times), modes), samples),
+        np.tile(_shared(np.arange(modes)), samples * times),
+        ensemble.values.ravel(),
+    )
 
 
 def render_csv(header: list[str], rows: list[list]) -> str:

@@ -20,16 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissibility import SeriesVerdict, Verdict, gamma_time
-from .errors import (
-    ExistenceGateError,
-    FactorizationError,
-    PreconditionError,
-    TruncationMismatchError,
-)
-from .spectral import Coefficients, DiagonalModel, evaluate_semigroup, exp_integral
+from .errors import ExistenceGateError, FactorizationError, PreconditionError
+from .spectral import Coefficients, DiagonalModel, _require_paired, evaluate_semigroup, exp_integral
 
 #: Eigenvalues of a covariance are allowed below zero by at most this times the trace.
 PSD_TOLERANCE = 1e-10
+#: Stored times of a grid ensemble when the caller names none (0 and T included).
+MAX_SAVED_TIMES = 33
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +56,7 @@ def covariance_qt(model: DiagonalModel, ctrl: Coefficients, T: float) -> Covaria
     """
     if T <= 0:
         raise PreconditionError("horizon must be positive")
-    if ctrl.mode_count != model.mode_count:
-        raise TruncationMismatchError("coefficient table does not match the model truncation")
+    _require_paired(model, ctrl)
     lam = model.eigenvalues
     pair = lam[:, None] + lam[None, :]
     factor = np.full(pair.shape, float(T))
@@ -70,23 +66,31 @@ def covariance_qt(model: DiagonalModel, ctrl: Coefficients, T: float) -> Covaria
     return CovarianceMatrix(matrix=matrix, horizon=float(T), trace_verdict=gamma_time(model, ctrl, T))
 
 
-def factor_psd(matrix: np.ndarray, tolerance: float = PSD_TOLERANCE) -> np.ndarray:
+def factor_psd(matrix: np.ndarray) -> np.ndarray:
     """Symmetric square root by eigendecomposition; rejects matrices that are not PSD.
 
-    Eigenvalues below ``-tolerance * trace`` raise, naming the offender;
+    Eigenvalues below ``-PSD_TOLERANCE * trace`` raise, naming the offender;
     anything between that and zero is clipped (round-off).
     """
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    floor = -tolerance * max(float(np.trace(matrix)), 0.0)
+    floor = -PSD_TOLERANCE * max(float(np.trace(matrix)), 0.0)
     if eigvals[0] < floor:
         raise FactorizationError(float(eigvals[0]), -floor)
     clipped = np.clip(eigvals, 0.0, None)
     return eigvecs * np.sqrt(clipped)[None, :]
 
 
-def _sample_stream(seed: int, index: int) -> np.random.Generator:
-    # documented derivation: per-sample Philox stream keyed by (seed, index)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+def _standard_normals(seed: int, samples: int, shape: tuple) -> np.ndarray:
+    """``(samples, *shape)`` standard normals; sample ``i`` reads only its own Philox stream.
+
+    The documented derivation: stream ``i`` is seeded by
+    ``SeedSequence(entropy=seed, spawn_key=(i,))``.
+    """
+    out = np.empty((samples, *shape))
+    for i in range(samples):
+        stream = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        np.random.Generator(stream).standard_normal(out=out[i])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,9 +115,6 @@ class PathEnsemble:
     def mode_count(self) -> int:
         return int(self.values.shape[2])
 
-    def stats(self, time_index: int = -1) -> "EnsembleStats":
-        return ensemble_stats(self, time_index)
-
 
 def sample_exact(
     model: DiagonalModel,
@@ -135,9 +136,8 @@ def sample_exact(
     root = factor_psd(cov.matrix)
     n = model.mode_count
     drift = np.zeros(n) if x0 is None else evaluate_semigroup(model, T, np.asarray(x0, dtype=float))
-    z = np.empty((samples, n))
-    for i in range(samples):
-        z[i] = _sample_stream(seed, i).standard_normal(n)
+    # z stays bound until the sum: freed earlier, its pages are faulted in again on every call
+    z = _standard_normals(seed, samples, (n,))
     values = z @ root.T + drift[None, :]
     return PathEnsemble(
         times=np.array([float(T)]),
@@ -147,11 +147,10 @@ def sample_exact(
     )
 
 
-def _save_indices(steps: int, max_saved: int = 33) -> np.ndarray:
-    if steps + 1 <= max_saved:
+def _save_indices(steps: int) -> np.ndarray:
+    if steps + 1 <= MAX_SAVED_TIMES:
         return np.arange(steps + 1)
-    idx = np.unique(np.round(np.linspace(0, steps, max_saved)).astype(int))
-    return idx
+    return np.unique(np.round(np.linspace(0, steps, MAX_SAVED_TIMES)).astype(int))
 
 
 def sample_grid(
@@ -177,9 +176,9 @@ def sample_grid(
       one-step covariance, so every stored time has the exact joint law at any
       step size.
 
-    ``dt`` must divide ``T``.  By default at most 33 evenly spaced times
-    (including 0 and T) are stored; pass ``save_times`` (multiples of ``dt``)
-    to choose.
+    ``dt`` must divide ``T``.  By default at most ``MAX_SAVED_TIMES`` evenly
+    spaced times (including 0 and T) are stored; pass ``save_times``
+    (multiples of ``dt``) to choose.
     """
     if dt <= 0:
         raise PreconditionError("dt must be positive")
@@ -191,8 +190,7 @@ def sample_grid(
         raise PreconditionError(f"dt={dt} does not divide the horizon T={T}")
     if samples < 1:
         raise PreconditionError("need at least one sample")
-    if ctrl.mode_count != model.mode_count:
-        raise TruncationMismatchError("coefficient table does not match the model truncation")
+    _require_paired(model, ctrl)
     if scheme not in ("shared_increment", "exact_joint"):
         raise PreconditionError(f"unknown scheme {scheme!r}")
 
@@ -216,19 +214,13 @@ def sample_grid(
             "reduce samples or coarsen dt"
         )
     if scheme == "shared_increment":
-        d = ctrl.channel_count
         step_var = exp_integral(lam, dt)  # exact per-mode one-step variance weight
         factor = np.sqrt(step_var / dt)
-        draws = np.empty((samples, steps, d))
-        for i in range(samples):
-            draws[i] = _sample_stream(seed, i).standard_normal((steps, d)) * math.sqrt(dt)
-        increments = None
+        draws = _standard_normals(seed, samples, (steps, width))
+        draws *= math.sqrt(dt)
     else:
         step_root = factor_psd(covariance_qt(model, ctrl, dt).matrix)
-        draws = np.empty((samples, steps, n))
-        for i in range(samples):
-            draws[i] = _sample_stream(seed, i).standard_normal((steps, n))
-        increments = draws @ step_root.T
+        increments = _standard_normals(seed, samples, (steps, n)) @ step_root.T
 
     x = np.zeros((samples, n)) if x0 is None else np.tile(np.asarray(x0, dtype=float), (samples, 1))
     out = np.empty((samples, keep.size, n))
@@ -254,8 +246,7 @@ def mean_square_modulus(model: DiagonalModel, ctrl: Coefficients, s: float, t: f
     """
     if s < 0 or t < s:
         raise PreconditionError("need 0 <= s <= t")
-    if ctrl.mode_count != model.mode_count:
-        raise TruncationMismatchError("coefficient table does not match the model truncation")
+    _require_paired(model, ctrl)
     if t == s:
         return 0.0
     w = ctrl.weights

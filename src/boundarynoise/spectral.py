@@ -211,6 +211,14 @@ class Coefficients:
         return float(self.weights[-1])
 
 
+def _require_paired(model: DiagonalModel, coeffs) -> None:
+    """Refuse a coefficient table (or anything with a ``mode_count``) of another truncation."""
+    if coeffs.mode_count != model.mode_count:
+        raise TruncationMismatchError(
+            f"coefficient table has {coeffs.mode_count} modes, model has {model.mode_count}"
+        )
+
+
 def _check_paired(model: DiagonalModel, x: np.ndarray) -> np.ndarray:
     vec = np.asarray(x)
     if vec.shape != (model.mode_count,):
@@ -260,8 +268,7 @@ def yosida_apply(
     finite model the limit always exists and equals ``sum_n gamma_n x_n``.
     """
     vec = _check_paired(model, x)
-    if obs.mode_count != model.mode_count:
-        raise TruncationMismatchError("observation table does not match model truncation")
+    _require_paired(model, obs)
     pts = np.asarray(probe, dtype=float)
     if pts.size < 2:
         raise PreconditionError("probe needs at least two points")

@@ -1,0 +1,137 @@
+"""Property test of the input boundary: any spec file and flags end in exit 0, 2 or 3.
+
+Specs mix well-formed blocks with ragged and wrongly typed rows, missing and
+unknown fields, and junk values.  Numbers stay small enough that no float64
+sum overflows, so a RuntimeWarning (an error under this suite's settings)
+means a defect, not an overflowing input.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from boundarynoise.cli import main
+
+COMMANDS = ["check", "covariance", "simulate", "perturb-check", "scan-weiss", "dyadic", "report"]
+
+HEAT = ["heat_neumann_left", "heat_neumann_right"]
+small = st.floats(-10.0, 10.0, allow_nan=False)
+# feedback stays small: a positive perturbed eigenvalue of 50 would overflow e^{2 lambda T}
+feedback = st.floats(-1.0, 1.0)
+# an eigenvalue below 1e-154 in magnitude overflows w / lambda^2 (dyadic bound, frequency terms)
+eigenvalue = st.one_of(st.just(0.0), st.floats(-50.0, -1e-6), st.floats(1e-6, 5.0))
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), small, st.text(max_size=3), st.builds(list), st.builds(dict),
+)
+
+
+def ragged_rows(count):
+    return st.lists(st.lists(small, min_size=1, max_size=3), min_size=count, max_size=count).filter(
+        lambda rows: len({len(row) for row in rows}) > 1)
+
+
+mistyped_rows = st.lists(
+    st.one_of(small, st.text(max_size=2), st.lists(st.one_of(small, st.booleans(), st.text(max_size=1)), max_size=2)),
+    max_size=3,
+)
+
+
+@st.composite
+def specs(draw):
+    """A well-formed spec of one of the four families, then up to two defects."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(junk)
+    modes, width = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    table = st.lists(st.lists(small, min_size=width, max_size=width), min_size=modes, max_size=modes)
+    rows = st.one_of(table, table, table, ragged_rows(max(modes, 2)))
+    kind = draw(st.sampled_from(["heat", "explicit", "power", "transport"]))
+    if kind == "transport":
+        spec = {"name": "prop", "noise_dim": draw(st.one_of(st.integers(1, 3), st.just("countable"))),
+                "control": {"preset": "transport", "r": draw(st.floats(0.1, 3.0))}}
+    else:
+        spec = {"name": "prop", "modes": modes}
+        if kind == "heat":
+            spec["control"] = {"preset": draw(st.sampled_from(HEAT))}
+        else:
+            spec["noise_dim"] = width
+            if kind == "explicit":
+                values = draw(st.lists(eigenvalue, min_size=modes, max_size=modes))
+                spec["spectrum"] = {"type": "explicit", "values": values}
+            else:
+                spec["spectrum"] = {"type": "power", "c": draw(st.floats(0.1, 3.0)), "p": draw(st.floats(0.5, 3.0)),
+                                    "include_zero_mode": draw(st.booleans())}
+            spec["control"] = {"type": "explicit", "beta": draw(rows)}
+            if draw(st.booleans()):
+                spec["control"]["tail_rule"] = draw(st.sampled_from(["constant", "zero_tail", "ell2:0.5"]))
+        if draw(st.sampled_from([False, True, True])):
+            vector = st.lists(feedback, min_size=modes, max_size=modes)
+            b = draw(st.sampled_from(HEAT)) if kind == "heat" and draw(st.booleans()) else draw(vector)
+            m = "constant_one" if kind == "heat" and draw(st.booleans()) else draw(vector)
+            spec["perturbation"] = {"type": "rank_one", "b": b, "m": m}
+        if draw(st.booleans()):
+            spec["observation"] = {"type": "explicit", "gamma": draw(rows)}
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        obj = draw(st.sampled_from([spec, *(v for v in spec.values() if isinstance(v, dict))]))
+        key = draw(st.sampled_from([*sorted(obj), "colour"]))
+        defect = draw(st.sampled_from(["junk", "rows", "missing"]))
+        if defect == "missing":
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(junk if defect == "junk" else st.one_of(ragged_rows(3), mistyped_rows))
+    return spec
+
+
+
+
+def flag(*values):
+    """Absent two times in three; the last value is out of range."""
+    return st.one_of(st.none(), st.none(), st.sampled_from(values))
+
+
+flags = st.fixed_dictionaries({
+    "--T": flag("1", "0.5", "2", "0"),
+    "--omega": flag("3", "60", "-1"),
+    "--modes": flag("1", "3", "5", "-2"),
+    "--freq-terms": flag("1", "5", "12", "0"),
+    "--samples": flag("2", "5", "1"),
+    "--seed": flag("0", "3", "12345"),
+    "--dt": flag("0.25", "0.5", "0.3"),
+    "--scheme": flag("shared_increment", "exact_joint"),
+})
+
+
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "model.json"
+
+
+RAGGED_GAMMA = {
+    "name": "ragged", "spectrum": {"type": "explicit", "values": [-1.0, -2.0]}, "modes": 2,
+    "control": {"type": "explicit", "beta": [[1.0], [1.0]]},
+    "observation": {"type": "explicit", "gamma": [[1.0], [1.0, 2.0]]},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(derandomize=True, max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(payload=specs(), fmt=st.sampled_from(["json", "csv"]), options=flags,
+       override=st.sampled_from([False, False, True]))
+@example(payload=RAGGED_GAMMA, fmt="json", options={}, override=False)
+def test_every_run_exits_0_2_or_3(spec_path, command, payload, fmt, options, override):
+    spec_path.write_text(json.dumps(payload))
+    argv = [command, "--model", str(spec_path), "--format", fmt]
+    argv += [f"{name}={value}" for name, value in options.items() if value is not None]
+    if override:
+        argv.append("--override-existence-gate")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert err.getvalue().startswith("error: ")

@@ -296,9 +296,13 @@ class TestModeBudget:
         (["simulate", "--modes", "64", "--samples", "1000000000000"], "--samples=1000000000000"),
         (["dyadic", "--modes", "64", "--freq-terms", "1024"], "--freq-terms=1024"),
         (["dyadic", "--modes", "64", "--freq-terms", "1000000000000"], "--freq-terms=1000000000000"),
+        # (2**512)**2 overflows
+        (["dyadic", "--modes", "64", "--freq-terms", "512"], "--freq-terms=512"),
+        # 11 Van Loan blocks of 3494 x 3494 doubles take 1.07e9 bytes, just above 1 GiB
+        (["perturb-check", "--modes", "1747"], "--modes=1747"),
     ])
     def test_beyond_budget_exits_3_naming_source(self, tmp_path, capsys, argv, source):
-        path = write_spec(tmp_path, dict(HEAT, modes=100000))
+        path = write_spec(tmp_path, dict(HEAT_FB, modes=100000))
         assert main([argv[0], "--model", path, *argv[1:]]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {source}:")
@@ -365,6 +369,39 @@ class TestNonFiniteInputs:
         with pytest.raises(SpecValidationError) as err:
             parse_model_dict(bad)
         assert any(path == "control.tail_rule" for path, _ in err.value.problems)
+
+
+class TestNonFiniteSums:
+    """A sum that overflows float64 is Inconclusive, never a Converged infinity."""
+
+    OVERFLOW = dict(EXPLICIT, spectrum={"type": "explicit", "values": [700.0, -1.0]})  # e^1400 in gamma(1)
+    HUGE_BETA = dict(EXPLICIT, spectrum={"type": "explicit", "values": [-1.0]}, modes=1,
+                     control={"type": "explicit", "beta": [[1e200]]})  # weight 1e400
+
+    def test_overflowing_time_route_is_inconclusive(self, tmp_path, capsys):
+        path = write_spec(tmp_path, self.OVERFLOW)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["check", "--model", path]) == 0
+        route = json.loads(capsys.readouterr().out)["results"]["routes"]["time_domain"]
+        assert route["verdict"] == "Inconclusive"
+        assert route["tail_bound"] == "unknown"
+        assert "not finite in float64" in route["evidence"]
+
+    def test_overflowing_time_route_fails_the_gate(self, tmp_path, capsys):
+        path = write_spec(tmp_path, self.OVERFLOW)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["simulate", "--model", path, "--samples", "10"]) == 3
+        assert "existence gate: verdict Inconclusive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "dyadic"])
+    def test_infinite_weight_leaks_no_invariant(self, tmp_path, capsys, command):
+        path = write_spec(tmp_path, self.HUGE_BETA)
+        assert main([command, "--model", path]) == 0
+        captured = capsys.readouterr()
+        assert "requires a finite" not in captured.err
+        results = json.loads(captured.out)["results"]
+        verdicts = results["routes"].values() if command == "check" else [results["diagnostic"]]
+        assert {v["verdict"] for v in verdicts} == {"Inconclusive"}
 
 
 class TestDyadicTable:

@@ -285,11 +285,6 @@ class TestEnsembleStats:
         assert np.all(np.abs(stats.covariance - q) <= 3.0 * stats.covariance_se)
         assert np.all(np.abs(stats.mean) <= 3.0 * stats.mean_se + 1e-12)
 
-    def test_method_accessor_matches_function(self):
-        model, ctrl = two_mode()
-        ens = sample_exact(model, ctrl, 1.0, 16, seed=1)
-        assert np.array_equal(ens.stats().covariance, ensemble_stats(ens).covariance)
-
 
 class TestExistenceGate:
     def test_transport_is_refused(self):
