@@ -37,6 +37,7 @@ from .models import dirichlet_frequency_criterion
 from .modelspec import ModelBundle, build_bundle, parse_model, require_table_budget
 from .perturbation import perturbed_gamma_time
 from .reports import (
+    Table,
     build_report,
     covariance_rows,
     ensemble_summary,
@@ -48,7 +49,7 @@ from .reports import (
     table_rows,
     verdict_payload,
 )
-from .simulate import covariance_qt, ensemble_stats, require_existence, sample_exact, sample_grid
+from .simulate import covariance_qt, ensemble_stats, factor_psd, require_existence, sample_exact, sample_grid
 from .spectral import growth_bound
 
 
@@ -64,11 +65,11 @@ def _table(header: list, rows: list) -> dict:
     return {"layout": header, "provenance": "closed_form", "rows": rows}
 
 
-# Each command returns (results, CSV header, CSV rows); the header is None
+# Each command returns (results, CSV header, table); the header is None
 # for commands without a tabular layout.
 
 
-def cmd_check(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
+def cmd_check(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
     T = args.T
     omega = _default_omega(bundle, args.omega)
     n_max = args.freq_terms if args.freq_terms is not None else 256
@@ -91,11 +92,12 @@ def cmd_check(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None
         "overall": overall,
         "routes": {name: verdict_payload(v) for name, v in routes.items()},
     }
-    rows = [[name, v.verdict.value, v.value, v.partial_value] for name, v in routes.items()]
+    rows = table_rows(list(routes), [v.verdict.value for v in routes.values()],
+                      [v.value for v in routes.values()], [v.partial_value for v in routes.values()])
     return results, ["route", "verdict", "value", "partial_value"], rows
 
 
-def cmd_covariance(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
+def cmd_covariance(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
     if bundle.kind != "diagonal":
         raise PreconditionError("covariance requires a spectral (diagonal) model")
     cov = covariance_qt(bundle.model, bundle.control, args.T)
@@ -111,7 +113,7 @@ def cmd_covariance(args, bundle: ModelBundle) -> tuple[dict, list | None, list |
     return results, header, rows
 
 
-def cmd_simulate(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
+def cmd_simulate(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
     if bundle.kind == "transport":
         n_max = args.freq_terms if args.freq_terms is not None else 256
         omega = _default_omega(bundle, args.omega)
@@ -124,6 +126,10 @@ def cmd_simulate(args, bundle: ModelBundle) -> tuple[dict, list | None, list | N
             "the transport model has no spectral representation to simulate; "
             "the override applies to diagonal models only"
         )
+    overridden = args.override_existence_gate and verdict.verdict.value != "Converged"
+    if overridden:
+        # the override skips the series test, not the law sampled: its covariance at T must factor
+        factor_psd(covariance_qt(bundle.model, bundle.control, args.T).matrix)
     require_table_budget("--samples", args.samples, bundle.model.mode_count, "sample table")
     if args.dt is None:
         ens = sample_exact(bundle.model, bundle.control, args.T, args.samples, args.seed)
@@ -135,9 +141,7 @@ def cmd_simulate(args, bundle: ModelBundle) -> tuple[dict, list | None, list | N
     stats = ensemble_stats(ens)
     results = {
         "existence": verdict_payload(verdict),
-        "existence_gate_overridden": bool(
-            args.override_existence_gate and verdict.verdict.value != "Converged"
-        ),
+        "existence_gate_overridden": overridden,
         "scheme": ens.scheme,
         "seed": args.seed,
         "horizon": num(args.T, "closed_form"),
@@ -153,7 +157,7 @@ def cmd_simulate(args, bundle: ModelBundle) -> tuple[dict, list | None, list | N
 _VAN_LOAN_WORKSPACE = 11
 
 
-def cmd_perturb_check(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
+def cmd_perturb_check(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
     if bundle.kind != "diagonal":
         raise PreconditionError("perturbation checks need a spectral (diagonal) model")
     if bundle.perturbation is None:
@@ -171,7 +175,7 @@ def cmd_perturb_check(args, bundle: ModelBundle) -> tuple[dict, list | None, lis
     return results, None, None
 
 
-def cmd_scan_weiss(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
+def cmd_scan_weiss(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
     if bundle.kind != "diagonal":
         raise PreconditionError("the resolvent scan needs a spectral (diagonal) model")
     omega = args.omega if args.omega is not None else growth_bound(bundle.model) + 0.1
@@ -195,7 +199,7 @@ def cmd_scan_weiss(args, bundle: ModelBundle) -> tuple[dict, list | None, list |
 _MAX_DYADIC_RANGE = (sys.float_info.max_exp - 1) // 2
 
 
-def cmd_dyadic(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
+def cmd_dyadic(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
     if bundle.kind != "diagonal":
         raise PreconditionError("the dyadic diagnostic needs a spectral (diagonal) model")
     n_range = args.freq_terms if args.freq_terms is not None else 10
@@ -216,7 +220,7 @@ def cmd_dyadic(args, bundle: ModelBundle) -> tuple[dict, list | None, list | Non
     return results, header, rows
 
 
-def cmd_report(args, bundle: ModelBundle) -> tuple[dict, list | None, list | None]:
+def cmd_report(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
     sections = {"check": cmd_check(args, bundle)[0]}
     if bundle.kind == "diagonal":
         sections["covariance"] = cmd_covariance(args, bundle)[0]

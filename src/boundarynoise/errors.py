@@ -31,14 +31,16 @@ class ResolutionError(PreconditionError):
 
 
 class FactorizationError(BoundaryNoiseError):
-    """A covariance matrix could not be factorized within the PSD tolerance."""
+    """A covariance matrix is not finite, or not PSD within the tolerance.
 
-    def __init__(self, eigenvalue: float, tolerance: float):
+    ``eigenvalue`` and ``tolerance`` name the offending eigenvalue; both are
+    NaN for a matrix that is not finite.
+    """
+
+    def __init__(self, message: str, eigenvalue: float = float("nan"), tolerance: float = float("nan")):
         self.eigenvalue = eigenvalue
         self.tolerance = tolerance
-        super().__init__(
-            f"covariance factorization failed: eigenvalue {eigenvalue:.6g} below tolerance -{tolerance:.6g}"
-        )
+        super().__init__(message)
 
 
 class ExistenceGateError(BoundaryNoiseError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import itertools
 import json
 import math
 
@@ -23,11 +24,15 @@ from .simulate import EnsembleStats, PathEnsemble
 FORMAT_VERSION = 1
 
 
+def _nonfinite(value: float) -> str:
+    return "nan" if math.isnan(value) else "infinite" if value > 0 else "-infinite"
+
+
 def num(value: float, provenance: str) -> dict:
-    """A numeric result with its provenance tag; infinities become strings."""
+    """A numeric result with its provenance tag; infinities and NaN become strings."""
     value = float(value)
     if not math.isfinite(value):
-        return {"value": "infinite" if value > 0 else "-infinite", "provenance": provenance}
+        return {"value": _nonfinite(value), "provenance": provenance}
     return {"value": value, "provenance": provenance}
 
 
@@ -66,7 +71,25 @@ def build_report(command: str, flags: dict, spec: ModelSpec, results: dict, elap
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=True) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2)``, with each :class:`Table` written from its columns.
+
+    Tables are swapped for marker strings; each table's text goes in at its
+    marker's indentation.  A set of markers is used only when each occurs
+    exactly once in the text, so no string in the report can stand in for one.
+    """
+    for nonce in itertools.count():
+        tables = []
+        text = json.dumps(_swap_tables(report, tables, nonce), sort_keys=True, indent=2, allow_nan=False)
+        markers = [json.dumps(_marker(nonce, k)) for k in range(len(tables))]
+        if all(text.count(marker) == 1 for marker in markers):
+            break
+    pieces, done = [], 0
+    for at, marker, k in sorted((text.index(m), m, k) for k, m in enumerate(markers)):
+        line = text[text.rfind("\n", 0, at) + 1:at]
+        pieces += [text[done:at], *_json_table(tables[k], " " * (len(line) - len(line.lstrip(" "))))]
+        done = at + len(marker)
+    pieces.append(text[done:] + "\n")
+    return "".join(pieces)
 
 
 def strip_timing(report: dict) -> dict:
@@ -76,51 +99,151 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
-def table_rows(*columns) -> list[list]:
-    """Rows of equal-length columns; ``.tolist()`` keeps ints as ints and floats as floats.
+class Column:
+    """``values`` with each entry repeated ``each`` times, and the whole tiled ``times`` times."""
 
-    Columns are converted one at a time, so one column list at most lives beside the rows.
+    def __init__(self, values: np.ndarray, each: int = 1, times: int = 1):
+        self.values, self.each, self.times = values, each, times
+
+    def __len__(self) -> int:
+        return len(self.values) * self.each * self.times
+
+
+class Table:
+    """Equal-length columns of a report table; ``len()`` is the row count.
+
+    No Python list per row is built: the renderers format a column's distinct
+    values once and write the text in blocks of rows.
     """
-    rows = [[None] * len(columns) for _ in range(len(columns[0]))]
-    for k, col in enumerate(columns):
-        for row, value in zip(rows, np.asarray(col).tolist()):
-            row[k] = value
-    return rows
+
+    def __init__(self, *columns: Column):
+        if len({len(c) for c in columns}) != 1:
+            raise ValueError("table columns differ in length")
+        if any(c.values.dtype.kind not in "iufU" for c in columns):
+            raise TypeError("table cells are ints, floats or strings")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
 
 
-def _shared(values) -> np.ndarray:
-    # one Python object per distinct index, shared by every row that repeats it
-    return np.asarray(values).astype(object)
+def table_rows(*columns) -> Table:
+    """A table of equal-length columns, each written as it stands."""
+    return Table(*(Column(np.asarray(c)) for c in columns))
 
 
-def covariance_rows(matrix: np.ndarray) -> list[list]:
+def covariance_rows(matrix: np.ndarray) -> Table:
     n = matrix.shape[0]
-    idx = _shared(np.arange(n))
-    return table_rows(np.repeat(idx, n), np.tile(idx, n), matrix.ravel())
+    idx = np.arange(n)
+    return Table(Column(idx, each=n), Column(idx, times=n), Column(matrix.ravel()))
 
 
-def series_rows(indices, terms) -> list[list]:
+def series_rows(indices, terms) -> Table:
     # cumsum adds in table order, the order the diagnostic sums its terms in
     terms = np.asarray(terms, dtype=float)
     return table_rows(np.asarray(indices, dtype=int), terms, np.cumsum(terms))
 
 
-def path_rows(ensemble: PathEnsemble) -> list[list]:
+def path_rows(ensemble: PathEnsemble) -> Table:
     samples, times, modes = ensemble.values.shape
-    return table_rows(
-        np.repeat(_shared(np.arange(samples)), times * modes),
-        np.tile(np.repeat(_shared(ensemble.times), modes), samples),
-        np.tile(_shared(np.arange(modes)), samples * times),
-        ensemble.values.ravel(),
+    return Table(
+        Column(np.arange(samples), each=times * modes),
+        Column(ensemble.times, each=modes, times=samples),
+        Column(np.arange(modes), times=samples * times),
+        Column(ensemble.values.ravel()),
     )
 
 
-def render_csv(header: list[str], rows: list[list]) -> str:
+def render_csv(header: list[str], rows: Table) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    if not len(rows):
+        return buf.getvalue()
+    return "".join([buf.getvalue(), *_row_blocks(rows, _csv_cells, ",", "\n"), "\n"])
+
+
+#: Rows formatted at a time: one block of cell strings lives beside the output text.
+BLOCK_ROWS = 1 << 14
+
+#: JSON text of a non-finite table cell: the string ``num`` gives it.
+_JSON_NONFINITE = {repr(v): json.dumps(_nonfinite(v)) for v in (math.inf, -math.inf, math.nan)}
+
+
+def _marker(nonce: int, k: int) -> str:
+    return f"<table {nonce}:{k}>"
+
+
+def _swap_tables(obj, tables: list, nonce: int):
+    if isinstance(obj, Table):
+        tables.append(obj)
+        return _marker(nonce, len(tables) - 1)
+    if isinstance(obj, dict):
+        return {key: _swap_tables(value, tables, nonce) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_swap_tables(value, tables, nonce) for value in obj]
+    return obj
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    # the list's repr calls float.__repr__ / int.__repr__ on each cell without a Python-level loop
+    return repr(values.tolist())[1:-1].split(", ")
+
+
+def _json_cells(values: np.ndarray) -> list[str]:
+    if values.dtype.kind == "U":
+        return [json.dumps(s) for s in values.tolist()]
+    cells = _reprs(values)
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
+    return cells
+
+
+def _csv_cells(values: np.ndarray) -> list[str]:
+    if values.dtype.kind != "U":
+        return _reprs(values)
+    # csv.writer's quoting, one cell at a time; the empty second field keeps "" from being quoted
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    cells = []
+    for s in values.tolist():
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([s, ""])
+        cells.append(buf.getvalue()[:-2])
+    return cells
+
+
+def _row_blocks(table: Table, cells, sep: str, between: str) -> list[str]:
+    """The rows' text in blocks: a row's cells joined by ``sep``, rows and blocks by ``between``.
+
+    ``cells`` formats a column slice.  The caller joins the blocks once, into its output.
+    """
+    width = len(table.columns)
+    # repeated columns are formatted once per distinct value; their strings are shared
+    distinct = [None if c.each == c.times == 1 else np.array(cells(c.values), dtype=object)
+                for c in table.columns]
+    pieces = []
+    for start in range(0, len(table), BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, len(table))
+        rows = np.arange(start, stop)
+        out = [sep] * (2 * width * (stop - start))
+        out[2 * width - 1::2 * width] = [between] * (stop - start)
+        for k, (column, strings) in enumerate(zip(table.columns, distinct)):
+            out[2 * k::2 * width] = (cells(column.values[start:stop]) if strings is None
+                                     else strings[rows // column.each % len(strings)].tolist())
+        out.pop()
+        pieces += ["".join(out), between]
+    pieces.pop()
+    return pieces
+
+
+def _json_table(table: Table, indent: str) -> list[str]:
+    """Pieces of the text ``json.dumps(indent=2)`` writes for the table's row lists, on a line indented by ``indent``."""
+    if not len(table):
+        return ["[]"]
+    row, cell = indent + "  ", indent + "    "
+    return [f"[\n{row}[\n{cell}", *_row_blocks(table, _json_cells, f",\n{cell}", f"\n{row}],\n{row}[\n{cell}"),
+            f"\n{row}]\n{indent}]"]
 
 
 def ensemble_summary(stats: EnsembleStats) -> dict:

@@ -67,15 +67,20 @@ def covariance_qt(model: DiagonalModel, ctrl: Coefficients, T: float) -> Covaria
 
 
 def factor_psd(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric square root by eigendecomposition; rejects matrices that are not PSD.
+    """Symmetric square root by eigendecomposition; rejects matrices that are not finite or not PSD.
 
     Eigenvalues below ``-PSD_TOLERANCE * trace`` raise, naming the offender;
     anything between that and zero is clipped (round-off).
     """
+    if not np.isfinite(matrix).all():
+        raise FactorizationError("covariance factorization failed: the covariance is not finite in float64")
     eigvals, eigvecs = np.linalg.eigh(matrix)
     floor = -PSD_TOLERANCE * max(float(np.trace(matrix)), 0.0)
     if eigvals[0] < floor:
-        raise FactorizationError(float(eigvals[0]), -floor)
+        raise FactorizationError(
+            f"covariance factorization failed: eigenvalue {eigvals[0]:.6g} below tolerance {floor:.6g}",
+            float(eigvals[0]), -floor,
+        )
     clipped = np.clip(eigvals, 0.0, None)
     return eigvecs * np.sqrt(clipped)[None, :]
 

@@ -393,6 +393,16 @@ class TestNonFiniteSums:
             assert main(["simulate", "--model", path, "--samples", "10"]) == 3
         assert "existence gate: verdict Inconclusive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--dt", "0.5"]])
+    def test_overridden_gate_refuses_non_finite_covariance(self, tmp_path, capsys, extra):
+        path = write_spec(tmp_path, self.OVERFLOW)
+        argv = ["simulate", "--model", path, "--samples", "10", "--override-existence-gate", *extra]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "the covariance is not finite" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["check", "dyadic"])
     def test_infinite_weight_leaks_no_invariant(self, tmp_path, capsys, command):
         path = write_spec(tmp_path, self.HUGE_BETA)

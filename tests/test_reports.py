@@ -1,0 +1,246 @@
+"""The columnar table renderers against the stdlib encoders on the row-list form.
+
+``render_json`` must write exactly what ``json.dumps(sort_keys=True, indent=2)``
+writes for the report with every table expanded into row lists (non-finite
+cells as the strings ``num`` gives them), and ``render_csv`` exactly what
+``csv.writer`` writes for the header and those rows (non-finite cells as
+``inf``/``nan``).
+"""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boundarynoise import build_heat_neumann, sample_exact
+from boundarynoise import cli, reports
+from boundarynoise.reports import (
+    Column,
+    Table,
+    covariance_rows,
+    num,
+    path_rows,
+    render_csv,
+    render_json,
+    series_rows,
+    table_rows,
+)
+
+HEAT = {"name": "heat-right", "modes": 8, "control": {"preset": "heat_neumann_right"}}
+HEAT_FB = dict(HEAT, perturbation={"type": "rank_one", "b": "heat_neumann_left", "m": "constant_one"})
+EXPLICIT = {
+    "name": "two-mode", "spectrum": {"type": "explicit", "values": [-1.0, -2.0]}, "modes": 2, "noise_dim": 1,
+    "control": {"type": "explicit", "beta": [[1.0], [1.0]]},
+}
+
+
+def write_spec(tmp_path, payload, name="model.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def expand(table: Table) -> list[list]:
+    """The table as one Python list per row."""
+    columns = [np.tile(np.repeat(c.values, c.each), c.times).tolist() for c in table.columns]
+    return [list(row) for row in zip(*columns)]
+
+
+def json_cell(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return num(value, "")["value"]
+    return value
+
+
+def as_rows(obj):
+    if isinstance(obj, Table):
+        return [[json_cell(v) for v in row] for row in expand(obj)]
+    if isinstance(obj, dict):
+        return {k: as_rows(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [as_rows(v) for v in obj]
+    return obj
+
+
+def reference_json(report) -> str:
+    return json.dumps(as_rows(report), sort_keys=True, indent=2) + "\n"
+
+
+def reference_csv(header, table) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(expand(table))
+    return buf.getvalue()
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # several blocks, and a block boundary inside a run of repeated index strings
+    monkeypatch.setattr(reports, "BLOCK_ROWS", 7)
+
+
+class TestRowBuilders:
+    def test_covariance_rows_are_index_pairs(self):
+        matrix = np.arange(12.0).reshape(3, 4)[:, :3] / 7.0
+        assert expand(covariance_rows(matrix)) == [[n, m, matrix[n, m]] for n in range(3) for m in range(3)]
+
+    def test_path_rows_layout(self):
+        heat = build_heat_neumann("right", 3)
+        ens = sample_exact(heat.model, heat.control, 1.0, 4, seed=2)
+        table = path_rows(ens)
+        assert len(table) == 4 * 1 * 3
+        assert expand(table) == [[s, float(ens.times[t]), m, ens.values[s, t, m]]
+                                 for s in range(4) for t in range(1) for m in range(3)]
+
+    def test_series_rows_cumulate_in_order(self):
+        rows = expand(series_rows([0, -1, 1], [0.5, 0.25, 0.125]))
+        assert rows == [[0, 0.5, 0.5], [-1, 0.25, 0.75], [1, 0.125, 0.875]]
+
+    def test_unequal_columns_refused(self):
+        with pytest.raises(ValueError):
+            table_rows([1, 2], [1.0])
+
+
+class TestCliTables:
+    """Every table the CLI writes, captured at the renderer and compared with the stdlib."""
+
+    @pytest.mark.parametrize("spec, argv", [
+        (HEAT, ["covariance"]),
+        (HEAT, ["dyadic", "--freq-terms", "6"]),
+        (EXPLICIT, ["scan-weiss", "--omega", "0.0"]),
+        (HEAT_FB, ["report"]),  # tables nested a level deeper
+        (EXPLICIT, ["report", "--freq-terms", "1"]),
+    ])
+    def test_json_matches_stdlib(self, tmp_path, capsys, monkeypatch, small_blocks, spec, argv):
+        seen = []
+        monkeypatch.setattr(cli, "render_json", lambda report: seen.append(report) or render_json(report))
+        assert cli.main([*argv, "--model", write_spec(tmp_path, spec)]) == 0
+        assert capsys.readouterr().out == reference_json(seen[0])
+
+    @pytest.mark.parametrize("spec, argv", [
+        (HEAT, ["covariance"]),
+        (HEAT, ["dyadic", "--freq-terms", "6"]),
+        (EXPLICIT, ["scan-weiss", "--omega", "0.0"]),
+        (HEAT, ["simulate", "--samples", "3", "--dt", "0.25"]),
+        (HEAT, ["check"]),
+    ])
+    def test_csv_matches_stdlib(self, tmp_path, capsys, monkeypatch, small_blocks, spec, argv):
+        seen = []
+        monkeypatch.setattr(cli, "render_csv", lambda header, rows: seen.append((header, rows)) or render_csv(header, rows))
+        assert cli.main([*argv, "--model", write_spec(tmp_path, spec), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == reference_csv(*seen[0])
+
+    def test_marker_text_in_name_and_model_path(self, tmp_path, capsys, monkeypatch):
+        # the spec name and the --model path both equal the first marker render_json tries
+        marker = reports._marker(0, 0)
+        monkeypatch.chdir(tmp_path)
+        write_spec(tmp_path, dict(HEAT, name=marker), name=marker)
+        for argv in (["covariance"], ["report"]):
+            seen = []
+            monkeypatch.setattr(cli, "render_json", lambda report: seen.append(report) or render_json(report))
+            assert cli.main([*argv, "--model", marker]) == 0
+            out = capsys.readouterr().out
+            assert out == reference_json(seen[0])
+            assert json.loads(out)["model"]["name"] == marker
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4, 1.5e300, 0.1, 2.0 / 3.0, 123456789012345.0]
+EDGE_INTS = [0, -1, 2**53 + 1, 2**62, -(2**63), 2**63 - 1]
+
+
+class TestCells:
+    def report(self, *tables):
+        return {"name": "edge", "depth": {"a": [{"rows": tables[0]}], "b": {"c": {"rows": list(tables[1:])}}}}
+
+    def test_edge_cells(self, small_blocks):
+        floats = table_rows(np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1]))
+        ints = table_rows(np.array(EDGE_INTS, dtype=np.int64), np.array(EDGE_FLOATS[:6]))
+        report = self.report(floats, ints)
+        assert render_json(report) == reference_json(report)
+        assert render_csv(["x", "y"], floats) == reference_csv(["x", "y"], floats)
+        assert render_csv(["i", "y"], ints) == reference_csv(["i", "y"], ints)
+
+    def test_empty_table(self):
+        empty = table_rows(np.array([], dtype=int), np.array([]))
+        report = self.report(empty, empty)
+        assert render_json(report) == reference_json(report)
+        assert '"rows": []' in render_json(report)
+        assert render_csv(["a", "b"], empty) == "a,b\n"
+
+    def test_nonfinite_cells_follow_num(self):
+        table = table_rows(np.arange(3), np.array([math.inf, -math.inf, math.nan]))
+        text = render_json({"rows": table})
+        assert json.loads(text)["rows"] == [[0, "infinite"], [1, "-infinite"], [2, "nan"]]
+        assert "Infinity" not in text and "NaN" not in text
+        assert render_csv(["i", "v"], table) == "i,v\n0,inf\n1,-inf\n2,nan\n"
+
+    def test_stray_nonfinite_scalar_raises(self):
+        with pytest.raises(ValueError):
+            render_json({"value": math.inf})
+
+    def test_string_cells_keep_csv_quoting(self):
+        names = ["plain", "with,comma", 'with "quote"', "two\nlines", ""]
+        table = table_rows(names, np.arange(5.0))
+        assert render_csv(["name", "v"], table) == reference_csv(["name", "v"], table)
+
+    def test_markers_in_every_string(self):
+        marker = reports._marker(0, 0)
+        table = covariance_rows(np.eye(2))
+        report = {marker: marker, "list": [marker, '"' + marker, json.dumps(marker)],
+                  "rows": table, "nested": {"rows": table, "x": reports._marker(1, 1)}}
+        assert render_json(report) == reference_json(report)
+
+
+cells = st.one_of(st.floats(width=64), st.floats(-1e6, 1e6), st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def reports_with_tables(draw):
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        # a repeated column (formatted once per distinct value) fixes the length of the others
+        distinct, each, times = draw(st.integers(0, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        length = distinct * each * times
+        values = draw(st.one_of(
+            st.lists(cells, min_size=distinct, max_size=distinct).map(np.array),
+            st.lists(st.integers(-(2**63), 2**63 - 1), min_size=distinct, max_size=distinct).map(
+                lambda v: np.array(v, dtype=np.int64)),
+        ))
+        columns = [Column(np.array(draw(st.lists(cells, min_size=length, max_size=length))))
+                   for _ in range(draw(st.integers(0, 3)))]
+        columns.insert(draw(st.integers(0, len(columns))), Column(values, each=each, times=times))
+        tables.append(Table(*columns))
+    report = {"tables": tables[0]}
+    for depth, table in enumerate(tables[1:]):
+        report = {"level": depth, "inner": [report, {"rows": table}], "text": draw(st.text(max_size=8))}
+    return report, tables
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(reports_with_tables(), st.integers(1, 9))
+def test_random_columns_match_stdlib(drawn, block_rows):
+    report, tables = drawn
+    saved = reports.BLOCK_ROWS
+    reports.BLOCK_ROWS = block_rows
+    try:
+        assert render_json(report) == reference_json(report)
+        for table in tables:
+            header = [f"c{k}" for k in range(len(table.columns))]
+            assert render_csv(header, table) == reference_csv(header, table)
+    finally:
+        reports.BLOCK_ROWS = saved
+
+
+class TestNum:
+    def test_nan_has_its_own_string(self):
+        assert num(math.nan, "x") == {"value": "nan", "provenance": "x"}
+
+    def test_infinities(self):
+        assert num(math.inf, "x")["value"] == "infinite"
+        assert num(-math.inf, "x")["value"] == "-infinite"

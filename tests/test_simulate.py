@@ -95,6 +95,12 @@ def test_factor_psd_rejects_indefinite_matrix():
     assert err.value.eigenvalue == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_factor_psd_rejects_non_finite_matrix(bad):
+    with pytest.raises(FactorizationError, match="not finite"):
+        factor_psd(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_factor_psd_reproduces_matrix():
     model, ctrl = two_mode()
     q = covariance_qt(model, ctrl, 1.0).matrix
