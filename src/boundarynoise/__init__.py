@@ -28,7 +28,6 @@ from .errors import (
     ExistenceGateError,
     FactorizationError,
     PreconditionError,
-    ResolutionError,
     SingularResolventError,
     SpecValidationError,
     TruncationMismatchError,
@@ -48,13 +47,10 @@ from .models import (
 from .modelspec import ModelBundle, ModelSpec, build_bundle, parse_model, parse_model_dict
 from .perturbation import (
     RankOnePerturbation,
-    VolterraProblem,
     galerkin_perturbed_generator,
-    graded_mesh,
     perturbed_gamma_time,
     perturbed_orbit_defect,
     perturbed_semigroup_apply,
-    volterra_resolve,
 )
 from .simulate import (
     CovarianceMatrix,
@@ -63,7 +59,6 @@ from .simulate import (
     covariance_qt,
     ensemble_stats,
     factor_psd,
-    mean_square_modulus,
     require_existence,
     sample_exact,
     sample_grid,
@@ -73,8 +68,6 @@ from .spectral import (
     DiagonalModel,
     SpectrumTail,
     TailRule,
-    YosidaLimit,
     evaluate_semigroup,
     growth_bound,
-    yosida_apply,
 )

@@ -279,11 +279,19 @@ def frequency_series(model: DiagonalModel, coeffs: Coefficients, grid: Frequency
     )
 
 
+def _over_square(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``w / a**2`` termwise, without warnings: a zero weight adds exactly 0, and a
+    positive weight over a square that underflows to 0 is ``inf`` (which
+    :func:`_converged` refuses to certify)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(w == 0.0, 0.0, w / a**2)
+
+
 def _frequency_partial(w: np.ndarray, a: np.ndarray, T: float, n_max: int) -> float:
     """Frequency-grid partial sum ``sum_{|n| <= n_max} sum_m w_m / (a_m^2 + (2 pi n / T)^2)``."""
     kappa = 2.0 * math.pi * np.arange(1, n_max + 1) / T
     per_n = np.sum(w[None, :] / (a[None, :] ** 2 + kappa[:, None] ** 2), axis=1)
-    return float(np.sum(w / a**2)) + float(np.sum(2.0 * per_n))
+    return float(np.sum(_over_square(w, a))) + float(np.sum(2.0 * per_n))
 
 
 def parseval_identity_check(
@@ -418,7 +426,7 @@ def dyadic_diagnostic(model: DiagonalModel, ctrl: Coefficients, n_range: int = 1
         return _inconclusive(partial, "growth bound >= 0: dyadic remainder not certified (diagnostic)")
     # n > K: (2^n - lam)^2 >= 2^(2n); n < -K: (2^n - lam)^2 >= lam^2
     scale = 2.0 ** (-n_range)
-    bound = scale * float(np.sum(w)) + scale * float(np.sum(w / lam**2))
+    bound = scale * float(np.sum(w)) + scale * float(np.sum(_over_square(w, lam)))
     return _converged(partial, 0.0, bound, "geometric remainder bounds on both dyadic sides")
 
 

@@ -101,15 +101,15 @@ def cmd_covariance(args, bundle: ModelBundle) -> tuple[dict, list | None, Table 
     if bundle.kind != "diagonal":
         raise PreconditionError("covariance requires a spectral (diagonal) model")
     cov = covariance_qt(bundle.model, bundle.control, args.T)
-    eigvals = np.linalg.eigvalsh(cov.matrix)
     header, rows = ["n", "m", "value"], covariance_rows(cov.matrix)
     results = {
         "horizon": num(args.T, "closed_form"),
         "trace": verdict_payload(cov.trace_verdict),
         "materialized_trace": num(cov.trace, "closed_form"),
-        "min_eigenvalue": num(float(eigvals[0]), "closed_form"),
         "entries": _table(header, rows),
     }
+    if args.format == "json":  # CSV writes the entries only; the O(N^3) spectrum would be discarded
+        results["min_eigenvalue"] = num(float(np.linalg.eigvalsh(cov.matrix)[0]), "closed_form")
     return results, header, rows
 
 

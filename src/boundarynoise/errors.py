@@ -26,10 +26,6 @@ class UnsupportedRepresentationError(PreconditionError):
     """The operation requires a spectral (diagonal) representation the model does not have."""
 
 
-class ResolutionError(PreconditionError):
-    """A time grid is too coarse for the declared kernel singularity."""
-
-
 class FactorizationError(BoundaryNoiseError):
     """A covariance matrix is not finite, or not PSD within the tolerance.
 

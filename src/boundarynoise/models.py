@@ -28,6 +28,7 @@ from .admissibility import (
     Verdict,
     _converged,
     _diverged,
+    _over_square,
     certify_tail,
     frequency_series,
 )
@@ -154,7 +155,7 @@ def dirichlet_hs_norm_spectral(model: DiagonalModel, ctrl: Coefficients, lam: co
     hits = np.nonzero(gaps == 0)[0]
     if hits.size:
         raise SingularResolventError(lam, int(hits[0]))
-    partial = float(np.sum(ctrl.weights / np.abs(gaps) ** 2))
+    partial = float(np.sum(_over_square(ctrl.weights, np.abs(gaps))))
 
     def a_off(tail) -> float:
         # |lam - lambda_i| >= Re(lam) + offset + c i**p, which must be positive on the tail

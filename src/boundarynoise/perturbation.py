@@ -11,21 +11,21 @@ evaluate the perturbed semigroup:
   ``K(tau) = sum_k m_k b_k exp(lambda_k tau)``, after which each mode is a
   one-dimensional convolution.
 
-The integral-equation solver uses product integration against a declared
-endpoint singularity ``tau**(-sigma)`` and graded meshes near zero, so kernels
-with a weakly singular envelope keep their order.
+On a truncation the kernel is a finite sum of exponentials, so one
+exponential-integrator recursion (:func:`_exp_weights`) solves the equation
+and carries every convolution at once, with no singularity to resolve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .admissibility import SeriesVerdict, Verdict, _converged, _inconclusive, gamma_time
-from .errors import PreconditionError, ResolutionError, TruncationMismatchError
+from .errors import PreconditionError, TruncationMismatchError
 from .spectral import Coefficients, DiagonalModel, _require_paired, evaluate_semigroup
 
 #: The ladder is Cauchy when its last two levels agree within this fraction.
@@ -46,9 +46,28 @@ def _expm(a: np.ndarray, t: float) -> tuple[np.ndarray, int]:
     return linalg.expm((t / m) * a), m
 
 
-def _trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Trapezoid rule down the columns of ``y``; the arithmetic of ``scipy.integrate.trapezoid``."""
-    return np.add.reduce(np.diff(x)[:, None] * (y[1:] + y[:-1]) / 2.0, axis=0)
+#: ``|lambda h|`` below which the weights come from their Taylor series (17 terms reach
+#: 1/19! < 2**-53 there); either side stays within a few ulps of an mpmath reference.
+_TAYLOR_BELOW = 1.0
+# highest power first, for np.polyval: phi2(z) = sum z^j / (j+2)!, (phi1 - phi2)(z) = sum (j+1) z^j / (j+2)!
+_PHI2_SERIES = np.array([1.0 / math.factorial(j + 2) for j in range(17)])[::-1]
+_PHI12_SERIES = np.array([(j + 1) / math.factorial(j + 2) for j in range(17)])[::-1]
+
+
+def _exp_weights(lam: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(e^{lam h}, h (phi1 - phi2)(lam h), h phi2(lam h))`` elementwise.
+
+    The weights are exact for ``int_0^h e^{lam (h - s)} g(s) ds`` with ``g``
+    linear from ``g(0)`` (first weight) to ``g(h)`` (second); at ``lam = 0``
+    both are ``h / 2``.  ``phi1(z) = (e^z - 1) / z``, ``phi2(z) = (e^z - 1 - z) / z^2``.
+    """
+    z = np.asarray(lam, dtype=float) * h
+    small = np.abs(z) < _TAYLOR_BELOW
+    zs, zc = np.where(small, z, 0.0), np.where(small, _TAYLOR_BELOW, z)  # each form sees only its own range
+    # e^z (z - 1) + 1 and e^z - 1 - z cancel least written this way on |z| >= 1
+    w0 = np.where(small, np.polyval(_PHI12_SERIES, zs), (np.exp(zc) * (zc - 1.0) + 1.0) / zc / zc)
+    w1 = np.where(small, np.polyval(_PHI2_SERIES, zs), (np.expm1(zc) - zc) / zc / zc)
+    return np.exp(z), h * w0, h * w1
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,112 +107,6 @@ def galerkin_perturbed_generator(model: DiagonalModel, pert: RankOnePerturbation
     return np.diag(model.eigenvalues[:n]) + np.outer(pert.b[:n], pert.m[:n])
 
 
-def graded_mesh(T: float, intervals: int, sigma: float) -> np.ndarray:
-    """Mesh on ``[0, T]`` graded toward 0 as ``(i/n)**q`` with ``q = 2/(1-sigma)``.
-
-    Uniform when ``sigma == 0``; the grading restores second order for product
-    integration against a ``tau**(-sigma)`` endpoint singularity.
-    """
-    if intervals < 1:
-        raise PreconditionError("need at least one interval")
-    if not 0.0 <= sigma < 1.0:
-        raise PreconditionError("sigma must lie in [0, 1)")
-    q = 1.0 if sigma == 0.0 else 2.0 / (1.0 - sigma)
-    return T * (np.arange(intervals + 1) / intervals) ** q
-
-
-@dataclass(frozen=True, eq=False)
-class VolterraProblem:
-    """Second-kind integral equation ``g(t) = a(t) + int_0^t K(t-s) g(s) ds``.
-
-    ``kernel`` may blow up like ``c * tau**(-sigma)`` at zero; ``sigma`` must be
-    declared (in ``[0, 1)``) so the solver can weight it exactly.  ``forcing``
-    is a vectorized callable or samples on ``grid``.
-    """
-
-    forcing: Union[Callable[[np.ndarray], np.ndarray], np.ndarray]
-    kernel: Callable[[np.ndarray], np.ndarray]
-    sigma: float
-    grid: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma < 1.0:
-            raise PreconditionError(f"singularity exponent must lie in [0, 1), got {self.sigma}")
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise PreconditionError("grid needs at least two points")
-        if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-            raise PreconditionError("grid must be strictly increasing and start at 0")
-        object.__setattr__(self, "grid", grid)
-
-    def forcing_values(self) -> np.ndarray:
-        if callable(self.forcing):
-            vals = np.asarray(self.forcing(self.grid), dtype=float)
-        else:
-            vals = np.asarray(self.forcing, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise PreconditionError("forcing samples must match the grid")
-        return vals
-
-
-def volterra_resolve(problem: VolterraProblem) -> np.ndarray:
-    """Product-integration solve of the second-kind equation on the grid.
-
-    Writes ``K(tau) = tau**(-sigma) K_reg(tau)`` and integrates the weight
-    exactly against the piecewise-linear interpolant of ``K_reg(t_i - s) g(s)``:
-    on ``[t_j, t_{j+1}]`` the exact moments of ``tau**(-sigma)`` give the two
-    node weights.  The implicit diagonal weight is solved for; a diagonal
-    factor that eats more than 3/4 of the identity means the grid cannot
-    resolve the declared singularity.
-    """
-    t = problem.grid
-    sigma = problem.sigma
-    a = problem.forcing_values()
-    n = t.size
-    one_m = 1.0 - sigma
-    two_m = 2.0 - sigma
-
-    def kreg(tau: np.ndarray) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        return tau**sigma * np.asarray(problem.kernel(tau), dtype=float)
-
-    # K_reg(0) by continuity; evaluated just off zero to dodge 0**0 and inf*0
-    floor = t[1] * 1e-9
-    kreg0 = float(kreg(np.array([floor]))[0])
-
-    g = np.empty(n)
-    g[0] = a[0]
-    for i in range(1, n):
-        A = t[i] - t[:i]
-        B = t[i] - t[1 : i + 1]
-        h = t[1 : i + 1] - t[:i]
-        m0 = (A**one_m - B**one_m) / one_m
-        m1 = (A**two_m - B**two_m) / two_m
-        wl = (m1 - B * m0) / h
-        wr = (A * m0 - m1) / h
-        s = float(wl @ (kreg(A) * g[:i]))
-        if i >= 2:
-            s += float(wr[:-1] @ (kreg(B[:-1]) * g[1:i]))
-        denom = 1.0 - wr[-1] * kreg0
-        if denom <= 0.25:
-            raise ResolutionError(
-                f"grid too coarse for declared singularity sigma={sigma:g} "
-                f"(implicit weight {wr[-1] * kreg0:.3g})"
-            )
-        g[i] = (a[i] + s) / denom
-    return g
-
-
-def declared_singularity(model: DiagonalModel) -> float:
-    """Default kernel singularity exponent: smooth for finite models, 1/2 for power tails.
-
-    Kernels assembled from heat-type spectra flatten like ``tau**(-1/2)`` as the
-    truncation grows, so graded meshes are used even though any finite
-    truncation is smooth.
-    """
-    return 0.0 if model.tail is None else 0.5
-
-
 def perturbed_semigroup_apply(
     model: DiagonalModel,
     pert: RankOnePerturbation,
@@ -202,15 +115,16 @@ def perturbed_semigroup_apply(
     method: str = "galerkin",
     *,
     grid_points: int = 600,
-    sigma: float | None = None,
 ) -> np.ndarray:
     """Apply the perturbed semigroup to a mode vector.
 
     ``method="galerkin"`` exponentiates the truncated generator.
     ``method="volterra"`` solves the scalar feedback equation
-    ``g = m . orbit + K * g`` and reconstructs each mode by a convolution
-    quadrature on the same grid; the two must agree within the documented
-    tolerance (the test suite pins 1e-3 on the reference family).
+    ``g = m . orbit + K * g`` on ``grid_points`` uniform steps, with ``g``
+    linear on each step and ``z_k = int_0^t e^{lambda_k (t - s)} g(s) ds``
+    carried by the exact weights of :func:`_exp_weights`, and returns
+    ``orbit + b z``.  The route is second order in the step; a step so coarse
+    that the implicit factor ``1 - (m b) . w1`` falls to 0.25 or below is refused.
     """
     if t < 0:
         raise PreconditionError("time must be nonnegative")
@@ -221,24 +135,25 @@ def perturbed_semigroup_apply(
         return np.linalg.matrix_power(*_expm(galerkin_perturbed_generator(model, pert), t)) @ x
     if method != "volterra":
         raise PreconditionError(f"unknown method {method!r}")
-    if t == 0.0:
-        return x.copy()
-    sig = declared_singularity(model) if sigma is None else float(sigma)
-    min_points = math.ceil(16.0 / (1.0 - sig))
-    if grid_points < min_points:
-        raise ResolutionError(
-            f"{grid_points} intervals cannot resolve sigma={sig:g}; need >= {min_points}"
+    if grid_points < 1:
+        raise PreconditionError(f"need at least one grid step, got {grid_points}")
+    _require_paired(model, pert)
+    lam, mb = model.eigenvalues, pert.m * pert.b
+    h = t / grid_points
+    decay, w0, w1 = _exp_weights(lam, h)
+    forcing = np.exp(np.multiply.outer(h * np.arange(grid_points + 1), lam)) @ (pert.m * x)
+    # g_i = forcing_i + mb . z_i, and z_i is linear in g_i: solve for it
+    implicit = 1.0 - float(mb @ w1)
+    if not implicit > 0.25:
+        raise PreconditionError(
+            f"grid_points={grid_points} too coarse for the feedback (implicit factor {implicit:.3g}, need > 0.25)"
         )
-    lam = model.eigenvalues
-    mb = pert.m * pert.b
-    mx = pert.m * x
-    grid = graded_mesh(t, grid_points, sig)
-    forcing = lambda s: np.exp(np.multiply.outer(np.asarray(s, dtype=float), lam)) @ mx
-    kernel = lambda tau: np.exp(np.multiply.outer(np.asarray(tau, dtype=float), lam)) @ mb
-    g = volterra_resolve(VolterraProblem(forcing, kernel, sig, grid))
-    decay = np.exp(np.multiply.outer(t - grid, lam))
-    conv = _trapezoid(decay * g[:, None], grid)
-    return np.exp(lam * t) * x + pert.b * conv
+    z, g = np.zeros_like(lam), forcing[0]
+    for a in forcing[1:]:
+        z = decay * z + w0 * g
+        g = (a + float(mb @ z)) / implicit
+        z += w1 * g
+    return np.exp(lam * t) * x + pert.b * z
 
 
 def perturbed_gamma_time(
@@ -314,20 +229,22 @@ def perturbed_orbit_defect(
 ) -> float:
     """Residual of the variation-of-constants identity at time ``t``.
 
-    Compares ``y(t) - orbit(t)`` against the quadrature of
-    ``exp(lambda (t-s)) b (m . y(s))`` with ``y`` the Galerkin evolution; the
-    identity closing on itself validates both routes at once.
+    Compares ``y(t) - orbit(t)`` against ``int_0^t exp(lambda (t-s)) b (m . y(s)) ds``
+    with ``y`` the Galerkin evolution on ``quad_points`` uniform points and the
+    feed ``m . y`` linear between them (the weights of :func:`_exp_weights`);
+    the identity closing on itself validates both routes at once.
     """
     if t <= 0:
         raise PreconditionError("time must be positive")
-    step = np.linalg.matrix_power(*_expm(galerkin_perturbed_generator(model, pert), t / (quad_points - 1)))
+    h = t / (quad_points - 1)
+    step = np.linalg.matrix_power(*_expm(galerkin_perturbed_generator(model, pert), h))
     ys = [x]
     for _ in range(quad_points - 1):
         ys.append(step @ ys[-1])
-    ss = np.linspace(0.0, t, quad_points)
     feed = np.array(ys) @ pert.m
-    decay = np.exp(np.multiply.outer(t - ss, model.eigenvalues))
-    conv = _trapezoid(decay * feed[:, None], ss) * pert.b
+    _, w0, w1 = _exp_weights(model.eigenvalues, h)
+    decay = np.exp(np.multiply.outer(t - np.linspace(0.0, t, quad_points)[1:], model.eigenvalues))
+    conv = (w0 * (feed[:-1] @ decay) + w1 * (feed[1:] @ decay)) * pert.b
     lhs = ys[-1] - evaluate_semigroup(model, t, x)
     scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(conv)), 1e-300)
     return float(np.linalg.norm(lhs - conv)) / scale

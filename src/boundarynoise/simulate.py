@@ -242,25 +242,6 @@ def sample_grid(
     return PathEnsemble(times=keep * dt, values=out, seed=int(seed), scheme=scheme)
 
 
-def mean_square_modulus(model: DiagonalModel, ctrl: Coefficients, s: float, t: float) -> float:
-    """``E || X(t) - X(s) ||^2`` of the convolution, by per-mode closed forms.
-
-    Splits into the fresh-noise part over ``[s, t]`` and the decay mismatch of
-    the noise already accumulated by ``s``; both integrals are exact, and the
-    value tends to 0 as ``t`` approaches ``s``.
-    """
-    if s < 0 or t < s:
-        raise PreconditionError("need 0 <= s <= t")
-    _require_paired(model, ctrl)
-    if t == s:
-        return 0.0
-    w = ctrl.weights
-    lam = model.eigenvalues
-    fresh = exp_integral(lam, t - s)
-    mismatch = np.expm1(lam * (t - s)) ** 2 * exp_integral(lam, s) if s > 0 else 0.0
-    return float(np.sum(w * (fresh + mismatch)))
-
-
 @dataclass(frozen=True, eq=False)
 class EnsembleStats:
     """Unbiased mean/covariance estimators with entrywise standard errors."""

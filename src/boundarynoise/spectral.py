@@ -245,48 +245,6 @@ def evaluate_semigroup(model: DiagonalModel, t: float, x: np.ndarray) -> np.ndar
     return np.exp(model.eigenvalues * t) * vec
 
 
-@dataclass(frozen=True)
-class YosidaLimit:
-    """Result of probing ``C lambda R(lambda, A) x`` along an increasing sequence."""
-
-    value: np.ndarray | None
-    converged: bool
-    history: np.ndarray  # (len(probe), output channels)
-
-
-def yosida_apply(
-    model: DiagonalModel,
-    obs: Coefficients,
-    x: np.ndarray,
-    probe: Sequence[float],
-    rel_tol: float = 1e-2,
-) -> YosidaLimit:
-    """Evaluate the canonical extension of an observation operator along a probe.
-
-    Returns the last probe value when the final two evaluations agree within
-    ``rel_tol`` (relative to the last value), else a divergence flag.  On a
-    finite model the limit always exists and equals ``sum_n gamma_n x_n``.
-    """
-    vec = _check_paired(model, x)
-    _require_paired(model, obs)
-    pts = np.asarray(probe, dtype=float)
-    if pts.size < 2:
-        raise PreconditionError("probe needs at least two points")
-    if np.any(np.diff(pts) <= 0):
-        raise PreconditionError("probe must be strictly increasing")
-    bound = growth_bound(model)
-    if np.any(pts <= bound):
-        raise PreconditionError(f"probe values must exceed the growth bound {bound}")
-    history = np.empty((pts.size, obs.channel_count))
-    for j, lam in enumerate(pts):
-        weights = lam / (lam - model.eigenvalues) * vec
-        history[j] = obs.array.T @ weights
-    step = np.linalg.norm(history[-1] - history[-2])
-    scale = max(np.linalg.norm(history[-1]), np.linalg.norm(history[-2]))
-    converged = step <= rel_tol * scale or scale == 0.0
-    return YosidaLimit(history[-1] if converged else None, converged, history)
-
-
 def exp_integral(lam: np.ndarray, T: float) -> np.ndarray:
     """``int_0^T exp(2 lambda t) dt`` elementwise; expm1 keeps the lambda -> 0 limit exact."""
     lam = np.asarray(lam, dtype=float)

@@ -22,8 +22,8 @@ HEAT = ["heat_neumann_left", "heat_neumann_right"]
 small = st.floats(-10.0, 10.0, allow_nan=False)
 # feedback stays small: a positive perturbed eigenvalue of 50 would overflow e^{2 lambda T}
 feedback = st.floats(-1.0, 1.0)
-# an eigenvalue below 1e-154 in magnitude overflows w / lambda^2 (dyadic bound, frequency terms)
-eigenvalue = st.one_of(st.just(0.0), st.floats(-50.0, -1e-6), st.floats(1e-6, 5.0))
+# magnitudes reach the least subnormal: below about 1e-154, lambda^2 underflows to 0 in w / lambda^2
+eigenvalue = st.one_of(st.just(0.0), st.floats(-50.0, -5e-324), st.floats(5e-324, 5.0), st.floats(-1e-150, 1e-150))
 junk = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), small, st.text(max_size=3), st.builds(list), st.builds(dict),
 )
@@ -116,12 +116,22 @@ RAGGED_GAMMA = {
 }
 
 
+# the mode at -4e-203 has weight 0: the dyadic diagnostic stays Converged
+TINY_ZERO_WEIGHT = {
+    "name": "tiny", "spectrum": {"type": "explicit", "values": [-4e-203, -1.0]}, "modes": 2, "noise_dim": 1,
+    "control": {"type": "explicit", "beta": [[0.0], [1.0]]},
+}
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @settings(derandomize=True, max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(payload=specs(), fmt=st.sampled_from(["json", "csv"]), options=flags,
        override=st.sampled_from([False, False, True]))
 @example(payload=RAGGED_GAMMA, fmt="json", options={}, override=False)
+@example(payload=TINY_ZERO_WEIGHT, fmt="json", options={}, override=False)
+@example(payload={"name": "heat", "modes": 4, "control": {"preset": "heat_neumann_right"}}, fmt="json",
+         options={"--omega": "1e-170"}, override=False)
 def test_every_run_exits_0_2_or_3(spec_path, command, payload, fmt, options, override):
     spec_path.write_text(json.dumps(payload))
     argv = [command, "--model", str(spec_path), "--format", fmt]

@@ -177,6 +177,14 @@ class TestDirichletNorm:
         assert dirichlet_hs_norm_spectral(model, ctrl, 1.0) == pytest.approx(0.25)
         assert dirichlet_hs_norm_spectral(model, Coefficients(np.zeros((1, 1))), 1.0) == 0.0
 
+    def test_underflowed_gap(self):
+        # |1e-170 - (-4e-203)|^2 underflows to 0: the zero-weight mode adds 0, a weighted one is not certified
+        model = DiagonalModel.from_eigenvalues([-4e-203, -1.0])
+        zero_first = Coefficients(np.array([[0.0], [1.0]]))
+        assert dirichlet_hs_norm_spectral(model, zero_first, 1e-170) == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(PreconditionError, match="not finite"):
+            dirichlet_hs_norm_spectral(model, Coefficients(np.ones((2, 1))), 1e-170)
+
     def test_singular_point_rejected(self):
         heat = build_heat_neumann("right", 8)
         with pytest.raises(SingularResolventError):

@@ -414,6 +414,53 @@ class TestNonFiniteSums:
         assert {v["verdict"] for v in verdicts} == {"Inconclusive"}
 
 
+class TestTinyEigenvalues:
+    """A square that underflows float64: a zero weight adds 0, a positive one is an uncertified inf; no warning."""
+
+    TINY = dict(EXPLICIT, spectrum={"type": "explicit", "values": [-4e-203, -1.0]},
+                control={"type": "explicit", "beta": [[0.0], [1.0]]})
+
+    def test_zero_weight_mode_adds_nothing(self, tmp_path, capsys):
+        path = write_spec(tmp_path, self.TINY)
+        assert main(["dyadic", "--model", path]) == 0
+        diagnostic = json.loads(capsys.readouterr().out)["results"]["diagnostic"]
+        assert diagnostic["verdict"] == "Converged"
+        # what is left is the single mode at -1 over |n| <= 10, as in TestDyadic
+        assert diagnostic["partial_value"]["value"] == pytest.approx(1.4407431867274039, rel=1e-12)
+
+    def test_positive_weight_over_underflowed_square_is_inconclusive(self, tmp_path, capsys):
+        path = write_spec(tmp_path, dict(self.TINY, control={"type": "explicit", "beta": [[1.0], [1.0]]}))
+        assert main(["dyadic", "--model", path]) == 0
+        diagnostic = json.loads(capsys.readouterr().out)["results"]["diagnostic"]
+        assert diagnostic["verdict"] == "Inconclusive"
+        assert "not finite in float64" in diagnostic["evidence"]
+
+    def test_omega_next_to_growth_bound(self, tmp_path, capsys):
+        path = write_spec(tmp_path, HEAT)
+        assert main(["check", "--model", path, "--omega", "1e-170"]) == 0
+        routes = json.loads(capsys.readouterr().out)["results"]["routes"]
+        assert routes["time_domain"]["verdict"] == "Converged"
+        for name in ("dual_frequency", "dirichlet_frequency"):
+            assert routes[name]["verdict"] == "Inconclusive"
+            assert "not finite in float64" in routes[name]["evidence"]
+
+
+class TestCovarianceSpectrum:
+    def test_csv_computes_no_eigenvalues(self, tmp_path, capsys, monkeypatch):
+        path = write_spec(tmp_path, HEAT)
+        assert main(["covariance", "--model", path, "--format", "csv"]) == 0
+        expected = capsys.readouterr().out
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        assert main(["covariance", "--model", path, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == expected
+        assert calls == []
+        assert main(["covariance", "--model", path]) == 0
+        assert len(calls) == 1
+        assert "min_eigenvalue" in json.loads(capsys.readouterr().out)["results"]
+
+
 class TestDyadicTable:
     def test_last_cumulative_is_partial_value(self, tmp_path, capsys):
         rng = np.random.default_rng(41)

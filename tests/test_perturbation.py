@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -9,21 +10,17 @@ from boundarynoise import (
     DiagonalModel,
     PreconditionError,
     RankOnePerturbation,
-    ResolutionError,
     TailRule,
     Verdict,
-    VolterraProblem,
     build_heat_neumann,
     constant_one_feedback,
     galerkin_perturbed_generator,
     gamma_time,
-    graded_mesh,
     perturbed_gamma_time,
     perturbed_orbit_defect,
     perturbed_semigroup_apply,
-    volterra_resolve,
 )
-from boundarynoise.perturbation import _expm, _trapezoid
+from boundarynoise.perturbation import _exp_weights, _expm
 from helpers import taylor_expm
 
 
@@ -141,13 +138,18 @@ class TestPerturbedSemigroup:
             v = perturbed_semigroup_apply(model, pert, t, x, method="volterra")
             assert np.linalg.norm(g - v) <= 1e-3 * max(np.linalg.norm(g), 1e-9)
 
-    def test_volterra_rejects_coarse_grid(self):
+    def test_volterra_rejects_empty_grid(self):
         model, pert = two_mode()
-        with pytest.raises(ResolutionError):
-            perturbed_semigroup_apply(
-                model, pert, 1.0, np.array([1.0, 0.0]), method="volterra",
-                grid_points=8, sigma=0.5,
-            )
+        with pytest.raises(PreconditionError):
+            perturbed_semigroup_apply(model, pert, 1.0, np.array([1.0, 0.0]), method="volterra", grid_points=0)
+
+    def test_volterra_rejects_coarse_grid(self):
+        # lambda = 0, b = m = 1, one step: the implicit factor 1 - t/2 is 0 at t = 2 and -1 at t = 4
+        model = DiagonalModel.from_eigenvalues([0.0])
+        pert = RankOnePerturbation(b=[1.0], m=[1.0])
+        for t in (2.0, 4.0):
+            with pytest.raises(PreconditionError, match="grid_points=1"):
+                perturbed_semigroup_apply(model, pert, t, np.array([1.0]), method="volterra", grid_points=1)
 
     def test_semigroup_law(self):
         model, pert = two_mode()
@@ -204,66 +206,89 @@ class TestScaledExponential:
         assert max(norms) <= 1.0
 
 
-class TestTrapezoid:
-    @pytest.mark.parametrize("points", [5, 600, 2049])
-    def test_bit_identical_to_scipy(self, points):
-        rng = np.random.default_rng(points)
-        x = np.cumsum(rng.uniform(1e-3, 1.0, points))
-        y = rng.standard_normal((points, 64)) * np.exp(rng.uniform(-20.0, 20.0, (points, 1)))
-        assert _trapezoid(y, x).tobytes() == integrate.trapezoid(y, x, axis=0).tobytes()
+def mp_weights(z):
+    """``(e^z, (phi1 - phi2)(z), phi2(z))`` in 60-digit arithmetic; the series where ``z`` is tiny."""
+    with mpmath.workdps(60):
+        z = mpmath.mpf(z)
+        if abs(z) < mpmath.mpf("1e-6"):
+            phi2 = sum(z**j / mpmath.factorial(j + 2) for j in range(6))
+            phi12 = sum((j + 1) * z**j / mpmath.factorial(j + 2) for j in range(6))
+        else:
+            phi2 = (mpmath.expm1(z) - z) / z**2
+            phi12 = mpmath.expm1(z) / z - phi2
+        return [float(v) for v in (mpmath.exp(z), phi12, phi2)]
 
 
-class TestVolterraSolver:
-    def test_zero_kernel_returns_forcing(self):
-        grid = graded_mesh(1.0, 64, 0.0)
-        a = np.sin(grid)
-        g = volterra_resolve(VolterraProblem(a, lambda t: np.zeros_like(t), 0.0, grid))
-        assert g == pytest.approx(a)
+class TestExpWeights:
+    @pytest.mark.parametrize("z", [0.0, 1e-12, -1e-12, np.nextafter(1.0, 0.0), 1.0, np.nextafter(-1.0, 0.0), -1.0,
+                                   0.5, -0.5, 3.0, -3.0, -40.0])
+    def test_against_mpmath(self, z):
+        h = 0.25
+        got = _exp_weights(np.array([z / h]), h)
+        for value, want, scale in zip(got, mp_weights(z), (1.0, h, h)):
+            assert float(value[0]) == pytest.approx(scale * want, rel=1e-14, abs=0.0)
+
+    def test_linear_signal_integrates_exactly(self):
+        # int_0^h e^{lam (h - s)} (g0 + (g1 - g0) s / h) ds by mpmath quadrature, at lam h from -40 to 2
+        lam, h, g0, g1 = np.array([-160.0, -3.0, -1e-9, 0.0, 2.5, 8.0]), 0.25, 0.7, -1.3
+        _, w0, w1 = _exp_weights(lam, h)
+        for k, rate in enumerate(lam):
+            with mpmath.workdps(30):
+                ref = mpmath.quad(lambda s: mpmath.exp(rate * (h - s)) * (g0 + (g1 - g0) * s / h), [0.0, h])
+            assert w0[k] * g0 + w1[k] * g1 == pytest.approx(float(ref), rel=1e-13)
+
+    def test_extreme_rates_stay_finite(self):
+        decay, w0, w1 = _exp_weights(np.array([-1e308, -5e-324, 5e-324]), 1.0)
+        assert np.all(np.isfinite(w0)) and np.all(np.isfinite(w1))
+        assert w1[0] == 1e-308 and decay[0] == 0.0
+        assert w0[1] == w1[1] == 0.5
+
+
+class TestVolterraRoute:
+    """The exponential-integrator route against Galerkin on heat-64 with ``constant_one`` feedback."""
+
+    T = 0.5
+
+    @staticmethod
+    def state():
+        return np.random.default_rng(64).standard_normal(64) / (1.0 + np.arange(64)) ** 2
+
+    def error(self, side, points):
+        heat, pert = heat_feedback(side, 64)
+        x = self.state()
+        ref = perturbed_semigroup_apply(heat.model, pert, self.T, x)
+        got = perturbed_semigroup_apply(heat.model, pert, self.T, x, method="volterra", grid_points=points)
+        return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+    def test_zero_kernel_returns_orbit(self):
+        # m = 0: the kernel vanishes, g is the forcing, and the route is the unperturbed orbit
+        heat = build_heat_neumann("right", 64)
+        pert = RankOnePerturbation(b=heat.control.array[:, 0], m=np.zeros(64))
+        x = self.state()
+        got = perturbed_semigroup_apply(heat.model, pert, self.T, x, method="volterra")
+        assert np.array_equal(got, np.exp(heat.model.eigenvalues * self.T) * x)
 
     def test_constant_kernel_exponential(self):
-        grid = graded_mesh(1.0, 1000, 0.0)
-        g = volterra_resolve(
-            VolterraProblem(lambda s: np.ones_like(s), lambda t: np.ones_like(t), 0.0, grid)
-        )
-        assert abs(g[-1] - math.e) <= 1e-4
+        # lambda = 0, b = m = 1: K = 1 and g = 1 + int_0^t g, so g(t) = y(t) = e^t
+        model = DiagonalModel.from_eigenvalues([0.0])
+        pert = RankOnePerturbation(b=[1.0], m=[1.0])
+        got = perturbed_semigroup_apply(model, pert, 1.0, np.array([1.0]), method="volterra", grid_points=1000)
+        assert abs(got[0] - math.e) <= 1e-6
 
-    def test_abel_kernel_against_fine_grid(self):
-        kernel = lambda t: t**-0.5
-        coarse = graded_mesh(1.0, 800, 0.5)
-        fine = graded_mesh(1.0, 3200, 0.5)
-        g_c = volterra_resolve(VolterraProblem(lambda s: np.ones_like(s), kernel, 0.5, coarse))
-        g_f = volterra_resolve(VolterraProblem(lambda s: np.ones_like(s), kernel, 0.5, fine))
-        assert abs(g_c[-1] - g_f[-1]) / abs(g_f[-1]) <= 1e-3
-        # classical resolvent: g(t) = e^{pi t} (1 + erf(sqrt(pi t)))
-        from scipy.special import erf
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_matches_galerkin_at_600_points(self, side):
+        assert self.error(side, 600) <= 1e-6
 
-        closed = math.exp(math.pi) * (1 + erf(math.sqrt(math.pi)))
-        assert abs(g_f[-1] - closed) / closed <= 1e-3
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_second_order_in_the_step(self, side):
+        errors = [self.error(side, points) for points in (150, 300, 600)]
+        assert errors[1] <= errors[0] / 3.0
+        assert errors[2] <= errors[1] / 3.0
 
-    def test_refinement_gains_declared_order(self):
-        kernel = lambda t: np.exp(-t)
-        ref = volterra_resolve(
-            VolterraProblem(lambda s: np.cos(s), kernel, 0.0, graded_mesh(1.0, 8192, 0.0))
-        )[-1]
-        errs = []
-        for n in (128, 256):
-            g = volterra_resolve(
-                VolterraProblem(lambda s: np.cos(s), kernel, 0.0, graded_mesh(1.0, n, 0.0))
-            )
-            errs.append(abs(g[-1] - ref))
-        # product trapezoid at sigma=0 is second order: halving h quarters the error
-        assert errs[1] <= errs[0] / 3.0
-
-    def test_rejects_singularity_at_least_one(self):
-        grid = graded_mesh(1.0, 32, 0.0)
-        with pytest.raises(PreconditionError):
-            VolterraProblem(lambda s: np.ones_like(s), lambda t: t**-1.0, 1.0, grid)
-
-    def test_rejects_bad_grids(self):
-        with pytest.raises(PreconditionError):
-            VolterraProblem(lambda s: s, lambda t: t, 0.0, np.array([0.5, 1.0]))
-        with pytest.raises(PreconditionError):
-            VolterraProblem(lambda s: s, lambda t: t, 0.0, np.array([0.0, 0.0, 1.0]))
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_orbit_defect_is_small(self, side):
+        heat, pert = heat_feedback(side, 64)
+        assert perturbed_orbit_defect(heat.model, pert, self.T, self.state()) <= 1e-7
 
 
 class TestPerturbedGamma:

@@ -16,7 +16,6 @@ from boundarynoise import (
     ensemble_stats,
     factor_psd,
     gamma_time,
-    mean_square_modulus,
     require_existence,
     sample_exact,
     sample_grid,
@@ -220,40 +219,6 @@ class TestSampleGrid:
         ens = sample_grid(model, ctrl, 1.0, 0.25, 4, seed=0, save_times=[0.5, 1.0])
         assert ens.times == pytest.approx([0.5, 1.0])
         assert ens.values.shape == (4, 2, 2)
-
-
-class TestMeanSquareModulus:
-    def test_zero_at_equal_times(self):
-        model, ctrl = two_mode()
-        assert mean_square_modulus(model, ctrl, 0.7, 0.7) == 0.0
-
-    def test_reduces_to_variance_from_zero(self):
-        model = DiagonalModel.from_eigenvalues([-1.0])
-        ctrl = Coefficients(np.array([[1.0]]))
-        out = mean_square_modulus(model, ctrl, 0.0, 1.0)
-        assert out == pytest.approx((1 - math.exp(-2.0)) / 2.0, rel=1e-12)
-
-    def test_decreases_toward_zero_gap(self):
-        heat = build_heat_neumann("right", 64)
-        s = 0.5
-        vals = [mean_square_modulus(heat.model, heat.control, s, s + gap) for gap in (1e-1, 1e-2, 1e-3)]
-        assert vals[0] > vals[1] > vals[2] > 0.0
-
-    def test_matches_monte_carlo(self):
-        model, ctrl = two_mode()
-        s, t = 0.5, 1.0
-        ens = sample_grid(model, ctrl, 1.0, 0.125, 30_000, seed=55,
-                          scheme="exact_joint", save_times=[s, t])
-        diff = ens.values[:, 1, :] - ens.values[:, 0, :]
-        emp = float(np.mean(np.sum(diff**2, axis=1)))
-        target = mean_square_modulus(model, ctrl, s, t)
-        se = float(np.std(np.sum(diff**2, axis=1), ddof=1)) / math.sqrt(diff.shape[0])
-        assert abs(emp - target) <= 4.0 * se
-
-    def test_rejects_reversed_times(self):
-        model, ctrl = two_mode()
-        with pytest.raises(PreconditionError):
-            mean_square_modulus(model, ctrl, 1.0, 0.5)
 
 
 class TestEnsembleStats:

@@ -12,7 +12,6 @@ from boundarynoise import (
     TruncationMismatchError,
     evaluate_semigroup,
     growth_bound,
-    yosida_apply,
 )
 from boundarynoise.spectral import exp_integral
 
@@ -74,51 +73,6 @@ class TestGrowthBound:
         model = DiagonalModel.from_power(1.0, 2.0, 3, include_zero_mode=True, lambda0=-50.0)
         # materialized: -50, -1, -4; tail starts at -9
         assert growth_bound(model) == -1.0
-
-
-class TestYosida:
-    def test_probe_limit(self):
-        model = DiagonalModel.from_eigenvalues([-1.0])
-        obs = Coefficients(np.array([[1.0]]))
-        out = yosida_apply(model, obs, np.array([1.0]), [10.0, 100.0, 1000.0])
-        assert out.converged
-        assert out.value[0] == pytest.approx(1.0, abs=1e-2)
-        assert np.allclose(out.history[:, 0], [10 / 11, 100 / 101, 1000 / 1001])
-
-    def test_zero_vector(self):
-        model = DiagonalModel.from_eigenvalues([-1.0, -4.0])
-        obs = Coefficients(np.array([[1.0], [2.0]]))
-        out = yosida_apply(model, obs, np.zeros(2), [10.0, 100.0])
-        assert out.converged and out.value == pytest.approx([0.0])
-
-    def test_extends_direct_sum_on_finite_model(self):
-        rng = np.random.default_rng(2)
-        model = DiagonalModel.from_eigenvalues([-1.0, -2.0, -5.0])
-        obs = Coefficients(rng.standard_normal((3, 2)))
-        x = rng.standard_normal(3)
-        out = yosida_apply(model, obs, x, [1e4, 1e6, 1e8], rel_tol=1e-3)
-        assert out.converged
-        assert np.allclose(out.value, obs.array.T @ x, rtol=1e-4)
-
-    def test_rejects_probe_below_growth_bound(self):
-        model = heat_model(4)
-        obs = Coefficients(np.ones((4, 1)))
-        with pytest.raises(PreconditionError):
-            yosida_apply(model, obs, np.zeros(4), [-1.0, 10.0])
-
-    def test_rejects_non_increasing_probe(self):
-        model = DiagonalModel.from_eigenvalues([-1.0])
-        obs = Coefficients(np.array([[1.0]]))
-        with pytest.raises(PreconditionError):
-            yosida_apply(model, obs, np.array([1.0]), [100.0, 10.0])
-
-    def test_divergence_flag_when_probe_not_settled(self):
-        model = DiagonalModel.from_eigenvalues([-1.0])
-        obs = Coefficients(np.array([[1.0]]))
-        out = yosida_apply(model, obs, np.array([1.0]), [1.0, 2.0], rel_tol=1e-12)
-        assert not out.converged
-        assert out.value is None
-        assert out.history.shape == (2, 1)
 
 
 def test_laplace_transform_consistency():
