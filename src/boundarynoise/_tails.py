@@ -177,6 +177,17 @@ def power_envelope_tail(
     return bracket_decreasing_sum(term, integral_low, integral_high, start, abs_target)
 
 
+def over_squares(w, a, b=None) -> np.ndarray:
+    """``w / (a**2 + b**2)`` elementwise (``w / a**2`` without ``b``), broadcast.
+
+    A square that overflows float64 (a magnitude above about 1.3e154) is
+    ``inf``, and its quotient takes the limit 0 without a warning; every entry
+    is the plain expression's.
+    """
+    with np.errstate(over="ignore"):
+        return w / (a**2 if b is None else a**2 + b**2)
+
+
 def line_sum_exact(a: np.ndarray, T: float) -> np.ndarray:
     """``sum_{n in Z} 1 / (a**2 + (2 pi n / T)**2) = (T / (2a)) * coth(a T / 2)``.
 
@@ -200,7 +211,7 @@ def frequency_line_tail(a: np.ndarray, T: float, n_max: int) -> tuple[np.ndarray
     a = np.asarray(a, dtype=float)
     x = float(n_max + 1)
     integral = (T / (2.0 * math.pi * a)) * (math.pi / 2.0 - np.arctan(2.0 * math.pi * x / (T * a)))
-    first = 1.0 / (a**2 + (2.0 * math.pi * x / T) ** 2)
+    first = over_squares(1.0, a, 2.0 * math.pi * x / T)
     lower = 2.0 * integral
     width = 2.0 * first
     return lower, width

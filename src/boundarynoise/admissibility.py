@@ -34,6 +34,7 @@ from ._tails import (
     frequency_mode_tail,
     gamma_power_tail,
     line_sum_exact,
+    over_squares,
 )
 from .errors import (
     PreconditionError,
@@ -282,15 +283,15 @@ def frequency_series(model: DiagonalModel, coeffs: Coefficients, grid: Frequency
 def _over_square(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``w / a**2`` termwise, without warnings: a zero weight adds exactly 0, and a
     positive weight over a square that underflows to 0 is ``inf`` (which
-    :func:`_converged` refuses to certify)."""
+    :func:`_converged` refuses to certify); see :func:`over_squares` for overflow."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(w == 0.0, 0.0, w / a**2)
+        return np.where(w == 0.0, 0.0, over_squares(w, a))
 
 
 def _frequency_partial(w: np.ndarray, a: np.ndarray, T: float, n_max: int) -> float:
     """Frequency-grid partial sum ``sum_{|n| <= n_max} sum_m w_m / (a_m^2 + (2 pi n / T)^2)``."""
     kappa = 2.0 * math.pi * np.arange(1, n_max + 1) / T
-    per_n = np.sum(w[None, :] / (a[None, :] ** 2 + kappa[:, None] ** 2), axis=1)
+    per_n = np.sum(over_squares(w[None, :], a[None, :], kappa[:, None]), axis=1)
     return float(np.sum(_over_square(w, a))) + float(np.sum(2.0 * per_n))
 
 
@@ -364,7 +365,7 @@ def weiss_scan(model: DiagonalModel, obs: Coefficients, omega: float, lam_grid) 
         raise PreconditionError(f"grid point {bad} has Re(lambda) <= omega={omega:g}")
     w = obs.weights
     gaps = pts[:, None] - model.eigenvalues[None, :]
-    sums = np.sum(w[None, :] / np.abs(gaps) ** 2, axis=1)
+    sums = np.sum(over_squares(w[None, :], np.abs(gaps)), axis=1)
     values = np.sqrt(pts.real - omega) * np.sqrt(sums)
     k = int(np.argmax(values))
     return WeissScan(float(values[k]), complex(pts[k]), pts, values)
@@ -395,7 +396,7 @@ def dyadic_terms(model: DiagonalModel, ctrl: Coefficients, n_range: int) -> tupl
         hit = np.nonzero(gaps == 0.0)[0]
         if hit.size:
             raise SingularResolventError(point, int(hit[0]))
-        terms.append(float(point * np.sum(w / gaps**2)))
+        terms.append(float(point * np.sum(over_squares(w, gaps))))
     return exponents, terms
 
 

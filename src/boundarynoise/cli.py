@@ -301,6 +301,9 @@ def _emit(text: str, output: str | None) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:  # a SeedSequence entropy is a non-negative integer
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
         bundle = build_bundle(parse_model(args.model), modes_override=args.modes)

@@ -236,6 +236,8 @@ def perturbed_orbit_defect(
     """
     if t <= 0:
         raise PreconditionError("time must be positive")
+    if quad_points < 2:
+        raise PreconditionError(f"need at least 2 quadrature points, got {quad_points}")
     h = t / (quad_points - 1)
     step = np.linalg.matrix_power(*_expm(galerkin_perturbed_generator(model, pert), h))
     ys = [x]

@@ -6,27 +6,39 @@ exactly (endpoint distribution) or propagate it on a time grid with two
 labeled schemes.
 
 Randomness contract: a master seed expands into one independent stream per
-sample via ``SeedSequence(entropy=seed, spawn_key=(sample_index,))`` feeding a
-counter-based Philox generator.  Sample ``i`` consumes only stream ``i``, so
-any partition of samples across workers reproduces identical output
-bit-for-bit.
+sample: a counter-based Philox generator keyed by
+``SeedSequence(entropy=seed, spawn_key=(sample_index,))``.  Sample ``i``
+consumes only stream ``i``, so its draws are the same under any partition of
+samples across workers or into the grid sampler's blocks.  The keys of a whole
+range of samples are derived in one vectorized pass (:func:`_stream_keys`)
+that equals ``SeedSequence`` word for word.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .admissibility import SeriesVerdict, Verdict, gamma_time
 from .errors import ExistenceGateError, FactorizationError, PreconditionError
-from .spectral import Coefficients, DiagonalModel, _require_paired, evaluate_semigroup, exp_integral
+from .spectral import Coefficients, DiagonalModel, _require_paired, evaluate_semigroup, exp_integral, expm1_over
 
 #: Eigenvalues of a covariance are allowed below zero by at most this times the trace.
 PSD_TOLERANCE = 1e-10
 #: Stored times of a grid ensemble when the caller names none (0 and T included).
 MAX_SAVED_TIMES = 33
+#: Standard normals a grid ensemble draws at once (8 MiB); it steps its samples in blocks of this many draws.
+BLOCK_DRAWS = 2**20
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx); all arithmetic is mod 2^32
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +70,8 @@ def covariance_qt(model: DiagonalModel, ctrl: Coefficients, T: float) -> Covaria
         raise PreconditionError("horizon must be positive")
     _require_paired(model, ctrl)
     lam = model.eigenvalues
-    pair = lam[:, None] + lam[None, :]
-    factor = np.full(pair.shape, float(T))
-    nz = pair != 0.0
-    factor[nz] = np.expm1(pair[nz] * T) / pair[nz]
-    matrix = ctrl.gram * factor
+    matrix = ctrl.gram  # a fresh array, scaled in place
+    matrix *= expm1_over(lam[:, None] + lam[None, :], T)
     return CovarianceMatrix(matrix=matrix, horizon=float(T), trace_verdict=gamma_time(model, ctrl, T))
 
 
@@ -85,16 +94,63 @@ def factor_psd(matrix: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(clipped)[None, :]
 
 
-def _standard_normals(seed: int, samples: int, shape: tuple) -> np.ndarray:
-    """``(samples, *shape)`` standard normals; sample ``i`` reads only its own Philox stream.
+def _stream_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """Philox keys of the streams of samples ``start .. stop - 1``, shape ``(stop - start, 2)`` uint64.
 
-    The documented derivation: stream ``i`` is seeded by
-    ``SeedSequence(entropy=seed, spawn_key=(i,))``.
+    Row ``i - start`` equals ``SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)``.
+    That sequence mixes the seed's 32-bit words (zero-padded to the pool size)
+    and then ``i``, so only its last mixing round reads ``i``: the pool before
+    it is ``SeedSequence(seed).pool``, and that round and ``generate_state`` run
+    for all indices at once as ``uint64`` arithmetic masked to 32 bits.
     """
-    out = np.empty((samples, *shape))
-    for i in range(samples):
-        stream = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        np.random.Generator(stream).standard_normal(out=out[i])
+    seed = operator.index(seed)
+    if seed < 0:  # SeedSequence would raise a bare ValueError
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
+    if not 0 <= start <= stop <= 2**32:
+        raise PreconditionError("sample indices must lie in [0, 2^32)")
+    pool = np.random.SeedSequence(seed).pool
+    # the mixing hash constant advances once per hashed word: 4 per seed word, at least 4 words
+    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(_POOL_SIZE, -(-seed.bit_length() // 32)), 2**32)
+    hash_const &= _MASK32
+    # numpy scalars throughout: a Python int next to a uint64 array casts differently across numpy versions
+    mask, half = np.uint64(_MASK32), np.uint64(16)
+    index = np.arange(start, stop, dtype=np.uint64)
+    state = np.empty((stop - start, _POOL_SIZE), dtype=np.uint64)
+    out_const = _INIT_B
+    for dst in range(_POOL_SIZE):
+        # the last mixing round: pool[dst] = mix(pool[dst], hashmix(i))
+        word = index ^ np.uint64(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        word *= np.uint64(hash_const)
+        word &= mask
+        word ^= word >> half
+        word = np.uint64(_MIX_MULT_L * int(pool[dst]) & _MASK32) - np.uint64(_MIX_MULT_R) * word
+        word &= mask
+        word ^= word >> half
+        # generate_state: output word dst hashes pool word dst
+        word ^= np.uint64(out_const)
+        out_const = out_const * _MULT_B & _MASK32
+        word *= np.uint64(out_const)
+        word &= mask
+        word ^= word >> half
+        state[:, dst] = word
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+def _standard_normals(seed: int, start: int, stop: int, shape: tuple) -> np.ndarray:
+    """``(stop - start, *shape)`` standard normals; sample ``i`` reads only its own Philox stream.
+
+    One Philox/Generator pair is re-keyed per sample: a fresh stream's state
+    with the key of :func:`_stream_keys`.
+    """
+    out = np.empty((stop - start, *shape))
+    bit_generator = np.random.Philox(0)
+    normals = np.random.Generator(bit_generator)
+    fresh = bit_generator.state  # zero counter, empty buffer: only the key differs per stream
+    for row, key in zip(out, _stream_keys(seed, start, stop)):
+        fresh["state"]["key"] = key
+        bit_generator.state = fresh
+        normals.standard_normal(out=row)
     return out
 
 
@@ -142,7 +198,7 @@ def sample_exact(
     n = model.mode_count
     drift = np.zeros(n) if x0 is None else evaluate_semigroup(model, T, np.asarray(x0, dtype=float))
     # z stays bound until the sum: freed earlier, its pages are faulted in again on every call
-    z = _standard_normals(seed, samples, (n,))
+    z = _standard_normals(seed, 0, samples, (n,))
     values = z @ root.T + drift[None, :]
     return PathEnsemble(
         times=np.array([float(T)]),
@@ -183,7 +239,8 @@ def sample_grid(
 
     ``dt`` must divide ``T``.  By default at most ``MAX_SAVED_TIMES`` evenly
     spaced times (including 0 and T) are stored; pass ``save_times``
-    (multiples of ``dt``) to choose.
+    (multiples of ``dt``) to choose.  Samples are drawn and stepped in place in
+    equal blocks of at most ``BLOCK_DRAWS`` standard normals (or one sample).
     """
     if dt <= 0:
         raise PreconditionError("dt must be positive")
@@ -212,33 +269,44 @@ def sample_grid(
         keep = np.unique(keep)
     keep_set = {int(k): j for j, k in enumerate(keep)}
 
-    width = ctrl.channel_count if scheme == "shared_increment" else n
+    shared = scheme == "shared_increment"
+    width = ctrl.channel_count if shared else n
     if samples * steps * width > 2**28:
         raise PreconditionError(
-            "requested ensemble needs more than 2^28 pre-drawn increments; "
+            "requested ensemble needs more than 2^28 standard normal increments; "
             "reduce samples or coarsen dt"
         )
-    if scheme == "shared_increment":
-        step_var = exp_integral(lam, dt)  # exact per-mode one-step variance weight
-        factor = np.sqrt(step_var / dt)
-        draws = _standard_normals(seed, samples, (steps, width))
-        draws *= math.sqrt(dt)
+    if shared:
+        # one Wiener increment per channel, rescaled to the exact per-mode one-step variance
+        factor = np.sqrt(exp_integral(lam, dt) / dt)
+        beta_t = ctrl.array.T
     else:
-        step_root = factor_psd(covariance_qt(model, ctrl, dt).matrix)
-        increments = _standard_normals(seed, samples, (steps, n)) @ step_root.T
+        step_root_t = factor_psd(covariance_qt(model, ctrl, dt).matrix).T
 
-    x = np.zeros((samples, n)) if x0 is None else np.tile(np.asarray(x0, dtype=float), (samples, 1))
     out = np.empty((samples, keep.size, n))
-    if 0 in keep_set:
-        out[:, keep_set[0], :] = x
-    beta_t = ctrl.array.T
-    for j in range(steps):
-        if scheme == "shared_increment":
-            x = x * decay[None, :] + (draws[:, j, :] @ beta_t) * factor[None, :]
+    # equal blocks, so none is a single sample unless the ensemble is
+    blocks = -(-samples // max(1, BLOCK_DRAWS // (steps * width)))
+    edges = [samples * b // blocks for b in range(blocks + 1)]
+    for s0, s1 in zip(edges, edges[1:]):
+        draws = _standard_normals(seed, s0, s1, (steps, width))
+        if shared:
+            draws *= math.sqrt(dt)
+            increment = np.empty((s1 - s0, n))
         else:
-            x = x * decay[None, :] + increments[:, j, :]
-        if (j + 1) in keep_set:
-            out[:, keep_set[j + 1], :] = x
+            draws = draws @ step_root_t  # one (steps x n) product per sample, whatever the block
+        x = np.zeros((s1 - s0, n)) if x0 is None else np.tile(np.asarray(x0, dtype=float), (s1 - s0, 1))
+        if 0 in keep_set:
+            out[s0:s1, keep_set[0], :] = x
+        for j in range(steps):
+            x *= decay
+            if shared:
+                np.matmul(draws[:, j, :], beta_t, out=increment)
+                increment *= factor
+                x += increment
+            else:
+                x += draws[:, j, :]
+            if (j + 1) in keep_set:
+                out[s0:s1, keep_set[j + 1], :] = x
     return PathEnsemble(times=keep * dt, values=out, seed=int(seed), scheme=scheme)
 
 

@@ -245,10 +245,20 @@ def evaluate_semigroup(model: DiagonalModel, t: float, x: np.ndarray) -> np.ndar
     return np.exp(model.eigenvalues * t) * vec
 
 
-def exp_integral(lam: np.ndarray, T: float) -> np.ndarray:
-    """``int_0^T exp(2 lambda t) dt`` elementwise; expm1 keeps the lambda -> 0 limit exact."""
-    lam = np.asarray(lam, dtype=float)
-    out = np.full(lam.shape, float(T))
-    nz = lam != 0.0
-    out[nz] = np.expm1(2.0 * lam[nz] * T) / (2.0 * lam[nz])
+def expm1_over(s: np.ndarray, T: float) -> np.ndarray:
+    """``(exp(s T) - 1) / s = int_0^T exp(s t) dt`` elementwise, with the limit ``T`` where ``s == 0``.
+
+    expm1 keeps the ``s -> 0`` approach exact; the result is a fresh array.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.multiply(s, T, out=np.empty_like(s))
+    np.expm1(out, out=out)
+    zero = s == 0.0
+    np.divide(out, s, out=out, where=~zero)
+    out[zero] = T
     return out
+
+
+def exp_integral(lam: np.ndarray, T: float) -> np.ndarray:
+    """``int_0^T exp(2 lambda t) dt`` elementwise (``2 lambda`` is exact in binary)."""
+    return expm1_over(2.0 * np.asarray(lam, dtype=float), T)

@@ -22,8 +22,9 @@ HEAT = ["heat_neumann_left", "heat_neumann_right"]
 small = st.floats(-10.0, 10.0, allow_nan=False)
 # feedback stays small: a positive perturbed eigenvalue of 50 would overflow e^{2 lambda T}
 feedback = st.floats(-1.0, 1.0)
-# magnitudes reach the least subnormal: below about 1e-154, lambda^2 underflows to 0 in w / lambda^2
-eigenvalue = st.one_of(st.just(0.0), st.floats(-50.0, -5e-324), st.floats(5e-324, 5.0), st.floats(-1e-150, 1e-150))
+# magnitudes reach the least subnormal: below about 1e-154, lambda^2 underflows to 0 in w / lambda^2;
+# stable ones reach 1e300, where lambda^2 overflows; positive ones stay small: e^{2 lambda T} overflows
+eigenvalue = st.one_of(st.just(0.0), st.floats(-1e300, -5e-324), st.floats(5e-324, 5.0), st.floats(-1e-150, 1e-150))
 junk = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), small, st.text(max_size=3), st.builds(list), st.builds(dict),
 )
@@ -98,7 +99,7 @@ flags = st.fixed_dictionaries({
     "--modes": flag("1", "3", "5", "-2"),
     "--freq-terms": flag("1", "5", "12", "0"),
     "--samples": flag("2", "5", "1"),
-    "--seed": flag("0", "3", "12345"),
+    "--seed": flag("0", "3", "12345", "-1"),
     "--dt": flag("0.25", "0.5", "0.3"),
     "--scheme": flag("shared_increment", "exact_joint"),
 })
@@ -123,6 +124,13 @@ TINY_ZERO_WEIGHT = {
 }
 
 
+# lambda^2 overflows at -1e200: every w / lambda^2 takes its finite value without a warning
+HUGE_STABLE = {
+    "name": "huge", "spectrum": {"type": "explicit", "values": [-1e200, -1.0]}, "modes": 2, "noise_dim": 1,
+    "control": {"type": "explicit", "beta": [[1.0], [1.0]]},
+}
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @settings(derandomize=True, max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -130,6 +138,7 @@ TINY_ZERO_WEIGHT = {
        override=st.sampled_from([False, False, True]))
 @example(payload=RAGGED_GAMMA, fmt="json", options={}, override=False)
 @example(payload=TINY_ZERO_WEIGHT, fmt="json", options={}, override=False)
+@example(payload=HUGE_STABLE, fmt="json", options={}, override=False)
 @example(payload={"name": "heat", "modes": 4, "control": {"preset": "heat_neumann_right"}}, fmt="json",
          options={"--omega": "1e-170"}, override=False)
 def test_every_run_exits_0_2_or_3(spec_path, command, payload, fmt, options, override):

@@ -167,6 +167,12 @@ class TestCli:
         assert len(results["ensemble"]["mean"]) == 8
         assert results["ensemble"]["mean"][0]["provenance"].startswith("monte_carlo")
 
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys):
+        path = write_spec(tmp_path, HEAT)
+        assert main(["simulate", "--model", path, "--seed=-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be a non-negative integer, got -1\n"
+
     def test_simulate_reports_are_reproducible(self, tmp_path, capsys):
         path = write_spec(tmp_path, HEAT)
         outputs = []

@@ -168,6 +168,13 @@ class TestPerturbedSemigroup:
             x = rng.standard_normal(n)
             assert perturbed_orbit_defect(model, pert, rng.uniform(0.2, 1.0), x, quad_points=801) <= 1e-4
 
+    @pytest.mark.parametrize("quad_points", [1, 0, -3])
+    def test_orbit_defect_needs_two_points(self, quad_points):
+        model = DiagonalModel.from_eigenvalues([-1.0])
+        pert = RankOnePerturbation(b=np.array([1.0]), m=np.array([0.5]))
+        with pytest.raises(PreconditionError, match="at least 2 quadrature points"):
+            perturbed_orbit_defect(model, pert, 1.0, np.array([1.0]), quad_points=quad_points)
+
 
 class TestScaledExponential:
     @pytest.mark.parametrize("norm, m", [(0.0, 1), (0.5, 1), (1.0, 1), (4.0, 4), (4.000001, 8), (3000.0, 4096)])

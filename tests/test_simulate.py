@@ -20,6 +20,8 @@ from boundarynoise import (
     sample_exact,
     sample_grid,
 )
+from boundarynoise import simulate
+from boundarynoise.simulate import _standard_normals, _stream_keys
 from boundarynoise.spectral import exp_integral
 from helpers import piecewise_spectrum
 
@@ -270,3 +272,144 @@ class TestExistenceGate:
     def test_converged_passes(self):
         heat = build_heat_neumann("right", 8)
         require_existence(gamma_time(heat.model, heat.control, 1.0))
+
+
+# Oracles: the per-sample SeedSequence loop and the formulas of the samplers
+# before keys were derived in one pass and grid paths were stepped in blocks.
+
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3, 2**200 + 99]
+
+
+def loop_normals(seed, samples, shape):
+    out = np.empty((samples, *shape))
+    for i in range(samples):
+        stream = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        np.random.Generator(stream).standard_normal(out=out[i])
+    return out
+
+
+def loop_exp_integral(lam, T):
+    out = np.full(lam.shape, float(T))
+    nz = lam != 0.0
+    out[nz] = np.expm1(2.0 * lam[nz] * T) / (2.0 * lam[nz])
+    return out
+
+
+def loop_covariance(model, ctrl, T):
+    lam = model.eigenvalues
+    pair = lam[:, None] + lam[None, :]
+    factor = np.full(pair.shape, float(T))
+    nz = pair != 0.0
+    factor[nz] = np.expm1(pair[nz] * T) / pair[nz]
+    return ctrl.gram * factor
+
+
+def loop_exact(model, ctrl, T, samples, seed, x0=None):
+    root = factor_psd(loop_covariance(model, ctrl, T))
+    drift = np.zeros(model.mode_count) if x0 is None else np.exp(model.eigenvalues * T) * x0
+    return loop_normals(seed, samples, (model.mode_count,)) @ root.T + drift[None, :]
+
+
+def loop_grid_paths(model, ctrl, T, dt, samples, seed, scheme, x0=None):
+    """Every grid time, shape ``(samples, steps + 1, modes)``: all increments drawn up front."""
+    steps, n, lam = int(round(T / dt)), model.mode_count, model.eigenvalues
+    decay = np.exp(lam * dt)
+    if scheme == "shared_increment":
+        factor = np.sqrt(loop_exp_integral(lam, dt) / dt)
+        draws = loop_normals(seed, samples, (steps, ctrl.channel_count))
+        draws *= math.sqrt(dt)
+    else:
+        increments = loop_normals(seed, samples, (steps, n)) @ factor_psd(loop_covariance(model, ctrl, dt)).T
+    x = np.zeros((samples, n)) if x0 is None else np.tile(x0, (samples, 1))
+    paths = [x]
+    for j in range(steps):
+        if scheme == "shared_increment":
+            x = x * decay[None, :] + (draws[:, j, :] @ ctrl.array.T) * factor[None, :]
+        else:
+            x = x * decay[None, :] + increments[:, j, :]
+        paths.append(x)
+    return np.stack(paths, axis=1)
+
+
+def three_channel():
+    rng = np.random.default_rng(8)
+    lam = -np.sort(rng.uniform(0.1, 30.0, 7))
+    lam[2] = 0.0
+    return DiagonalModel.from_eigenvalues(lam), Coefficients(rng.standard_normal((7, 3))), rng.standard_normal(7)
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equal_seed_sequence(self, seed):
+        keys = _stream_keys(seed, 0, 3000)
+        expected = [np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+                    for i in range(3000)]
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, expected)
+
+    @pytest.mark.parametrize("seed", [5, 2**64 + 7])
+    def test_offset_range(self, seed):
+        start = 2**32 - 40
+        expected = [np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+                    for i in range(start, 2**32)]
+        assert np.array_equal(_stream_keys(seed, start, 2**32), expected)
+        assert np.array_equal(_stream_keys(seed, 1000, 1300), _stream_keys(seed, 0, 1300)[1000:])
+
+    def test_empty_range(self):
+        assert _stream_keys(3, 7, 7).shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_refuses_negative_seed(self, seed):
+        with pytest.raises(PreconditionError, match="non-negative"):
+            _stream_keys(seed, 0, 4)
+
+    def test_refuses_indices_past_one_word(self):
+        with pytest.raises(PreconditionError, match="2\\^32"):
+            _stream_keys(0, 0, 2**32 + 1)
+
+
+class TestSameBitsAsPerSampleLoop:
+    @pytest.mark.parametrize("seed", [0, 2**64 + 7])
+    def test_standard_normals(self, seed):
+        assert np.array_equal(_standard_normals(seed, 0, 300, (5, 2)), loop_normals(seed, 300, (5, 2)))
+        assert np.array_equal(_standard_normals(seed, 100, 300, (5, 2)), loop_normals(seed, 300, (5, 2))[100:])
+
+    def test_covariance_and_exp_integral(self):
+        model, ctrl, _ = three_channel()
+        heat = build_heat_neumann("right", 256)
+        for m, c, T in [(model, ctrl, 0.3), (heat.model, heat.control, 1.0)]:
+            assert np.array_equal(covariance_qt(m, c, T).matrix, loop_covariance(m, c, T))
+        lam = np.concatenate([model.eigenvalues, [-1e-300, 1e-300, -700.0, 3.0, -0.0]])
+        assert np.array_equal(exp_integral(lam, 1.3), loop_exp_integral(lam, 1.3))
+
+    def test_sample_exact(self):
+        model, ctrl, x0 = three_channel()
+        assert np.array_equal(sample_exact(model, ctrl, 0.7, 501, 2**64 + 7, x0=x0).values[:, 0, :],
+                              loop_exact(model, ctrl, 0.7, 501, 2**64 + 7, x0=x0))
+        heat = build_heat_neumann("right", 64)
+        assert np.array_equal(sample_exact(heat.model, heat.control, 1.0, 2000, 12345).values[:, 0, :],
+                              loop_exact(heat.model, heat.control, 1.0, 2000, 12345))
+
+    @pytest.mark.parametrize("scheme", ["shared_increment", "exact_joint"])
+    @pytest.mark.parametrize("block_draws", [simulate.BLOCK_DRAWS, 500])
+    def test_sample_grid(self, monkeypatch, scheme, block_draws):
+        # at 500 draws a block holds 8 (shared) or 3 (exact_joint) of the 333 samples: 333 is no multiple
+        monkeypatch.setattr(simulate, "BLOCK_DRAWS", block_draws)
+        model, ctrl, x0 = three_channel()
+        paths = loop_grid_paths(model, ctrl, 1.0, 0.05, 333, 5, scheme, x0=x0)
+        ens = sample_grid(model, ctrl, 1.0, 0.05, 333, 5, scheme=scheme, x0=x0, save_times=[0.0, 0.35, 1.0])
+        assert np.array_equal(ens.values, paths[:, [0, 7, 20], :])
+        ens = sample_grid(model, ctrl, 1.0, 0.05, 333, 5, scheme=scheme)
+        assert np.array_equal(ens.values, loop_grid_paths(model, ctrl, 1.0, 0.05, 333, 5, scheme))
+
+    @pytest.mark.parametrize("scheme", ["shared_increment", "exact_joint"])
+    def test_sample_grid_heat_blocks(self, monkeypatch, scheme):
+        # 2^20 draws: heat-64 at dt=1e-2 puts 163 samples (exact_joint) or all 1000 (shared) in a block
+        heat = build_heat_neumann("right", 64)
+        ens = sample_grid(heat.model, heat.control, 1.0, 1e-2, 1000, 77, scheme=scheme)
+        paths = loop_grid_paths(heat.model, heat.control, 1.0, 1e-2, 1000, 77, scheme)
+        keep = np.round(ens.times / 1e-2).astype(int)
+        assert np.array_equal(ens.values, paths[:, keep, :])
+        monkeypatch.setattr(simulate, "BLOCK_DRAWS", 1)  # one sample per block
+        assert np.array_equal(sample_grid(heat.model, heat.control, 1.0, 1e-2, 40, 77, scheme=scheme).values,
+                              paths[:40, keep, :])
