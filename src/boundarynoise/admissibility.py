@@ -215,7 +215,7 @@ def gamma_time(model: DiagonalModel, coeffs: Coefficients, T: float) -> SeriesVe
         partial, model, coeffs,
         lambda tail: T * math.exp(2.0 * max(float(tail.eigenvalue(tail.next_index)), 0.0) * T),
         lambda tail, w, target: gamma_power_tail(
-            tail.c, tail.p, tail.offset, w, T, tail.next_index, abs_target=target),
+            tail.c, tail.p, 0.0, w, T, tail.next_index, abs_target=target),
     )
 
 
@@ -247,7 +247,7 @@ def gamma_infinite(model: DiagonalModel, coeffs: Coefficients, t0: float = 1.0) 
         partial, model, coeffs,
         lambda tail: 0.5 / -float(tail.eigenvalue(tail.next_index)),
         lambda tail, w, target: gamma_power_tail(
-            tail.c, tail.p, tail.offset, w, None, tail.next_index, abs_target=target),
+            tail.c, tail.p, 0.0, w, None, tail.next_index, abs_target=target),
         note=geo_note,
     )
 
@@ -272,9 +272,9 @@ def frequency_series(model: DiagonalModel, coeffs: Coefficients, grid: Frequency
     return certify_tail(
         _frequency_partial(w, a, T, n_max), model, coeffs,
         lambda tail: float(line_sum_exact(
-            np.array([omega + tail.offset + tail.c * float(tail.next_index) ** tail.p]), T)[0]),
+            np.array([omega + tail.c * float(tail.next_index) ** tail.p]), T)[0]),
         lambda tail, w_tail, target: frequency_mode_tail(
-            tail.c, tail.p, omega + tail.offset, w_tail, T, tail.next_index, abs_target=target),
+            tail.c, tail.p, omega, w_tail, T, tail.next_index, abs_target=target),
         known=(float(np.sum(w * line_lower)), float(np.sum(w * line_width))),
         note="; frequency remainder by arctan integral comparison",
     )

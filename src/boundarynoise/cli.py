@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="path to a model-spec JSON file")
         p.add_argument("--T", type=_finite_float, default=1.0, help="time horizon (default 1)")
         p.add_argument("--omega", type=_finite_float, default=None,
-                       help="abscissa for frequency criteria (default: growth bound + 1)")
+                       help="abscissa for frequency criteria (default: growth bound + 1; "
+                            "scan-weiss: growth bound + 0.1; transport: 1)")
         p.add_argument("--modes", type=int, default=None, help="re-truncate preset models")
         p.add_argument("--freq-terms", dest="freq_terms", type=int, default=None,
                        help="frequency grid half-width (check: 256) / dyadic range (dyadic: 10)")
@@ -288,14 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
     return parser
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def main(argv=None) -> int:
@@ -318,11 +311,20 @@ def main(argv=None) -> int:
         if header is None:
             print(f"error: {args.command} has no CSV layout; use --format json", file=sys.stderr)
             return 2
-        _emit(render_csv(header, rows), args.output)
+        text = render_csv(header, rows)
     else:
         report = build_report(args.command, _flag_echo(args), bundle.spec, results,
                               time.perf_counter() - started)
-        _emit(render_json(report), args.output)
+        text = render_json(report)
+    if args.output is None:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # an unwritable --output is an input problem, like an unreadable --model
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

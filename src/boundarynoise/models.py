@@ -46,7 +46,6 @@ class HeatNeumannModel:
     the endpoint-trace control coefficients.
     """
 
-    side: Side
     model: DiagonalModel
     control: Coefficients
 
@@ -73,7 +72,7 @@ def build_heat_neumann(side: Side, modes: int) -> HeatNeumannModel:
     if side == "left":
         beta = -beta
     control = Coefficients(beta[:, None], tail=TailRule("constant", 2.0 / math.pi))
-    return HeatNeumannModel(side=side, model=model, control=control)
+    return HeatNeumannModel(model=model, control=control)
 
 
 def constant_one_feedback(modes: int) -> np.ndarray:
@@ -158,11 +157,10 @@ def dirichlet_hs_norm_spectral(model: DiagonalModel, ctrl: Coefficients, lam: co
     partial = float(np.sum(_over_square(ctrl.weights, np.abs(gaps))))
 
     def a_off(tail) -> float:
-        # |lam - lambda_i| >= Re(lam) + offset + c i**p, which must be positive on the tail
-        off = lam.real + tail.offset
-        if off + tail.c * float(tail.next_index) ** tail.p <= 0:
+        # |lam - lambda_i| >= Re(lam) + c i**p, which must be positive on the tail
+        if lam.real + tail.c * float(tail.next_index) ** tail.p <= 0:
             raise PreconditionError("lambda too far left to certify the remainder")
-        return off
+        return lam.real
 
     verdict = certify_tail(
         partial, model, ctrl,
@@ -237,9 +235,6 @@ def dirichlet_frequency_criterion(
         if term <= DIVERGENCE_FLOOR:
             return _converged(partial, 0.0, 0.0, "terms below divergence threshold")
         return _diverged(partial, "terms constant in n")
-    if isinstance(model, HeatNeumannModel):
-        ctrl = model.control if ctrl is None else ctrl
-        model = model.model
     if ctrl is None:
         raise PreconditionError("diagonal models need control coefficients")
     return frequency_series(model, ctrl, FrequencyGrid(omega, T, n_max))

@@ -386,11 +386,11 @@ def build_bundle(spec: ModelSpec, modes_override: int | None = None) -> ModelBun
         # would need tail-rule synthesis, re-truncating would silently drop rows
         raise PreconditionError("mode override is only supported for preset models")
     if spectrum["type"] == "explicit":
-        model = DiagonalModel.from_eigenvalues(spectrum["values"], noise_dim=spec.noise_dim)
+        model = DiagonalModel.from_eigenvalues(spectrum["values"])
     else:
         model = DiagonalModel.from_power(
             spectrum["c"], spectrum["p"], modes,
-            include_zero_mode=spectrum["include_zero_mode"], noise_dim=spec.noise_dim,
+            include_zero_mode=spectrum["include_zero_mode"],
         )
     tail = TailRule.parse(control["tail_rule"]) if "tail_rule" in control else None
     ctrl = Coefficients(np.asarray(control["beta"], dtype=float), tail=tail)

@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .admissibility import SeriesVerdict, Verdict, _converged, _inconclusive, gamma_time
-from .errors import PreconditionError, TruncationMismatchError
-from .spectral import Coefficients, DiagonalModel, _require_paired, evaluate_semigroup
+from .errors import PreconditionError
+from .spectral import Coefficients, DiagonalModel, _check_paired, _require_paired, evaluate_semigroup
 
 #: The ladder is Cauchy when its last two levels agree within this fraction.
 LADDER_REL_TOL = 0.01
@@ -128,9 +128,7 @@ def perturbed_semigroup_apply(
     """
     if t < 0:
         raise PreconditionError("time must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.mode_count,):
-        raise TruncationMismatchError("state vector does not match the model truncation")
+    x = _check_paired(model, np.asarray(x, dtype=float))
     if method == "galerkin":
         return np.linalg.matrix_power(*_expm(galerkin_perturbed_generator(model, pert), t)) @ x
     if method != "volterra":
@@ -238,6 +236,7 @@ def perturbed_orbit_defect(
         raise PreconditionError("time must be positive")
     if quad_points < 2:
         raise PreconditionError(f"need at least 2 quadrature points, got {quad_points}")
+    x = _check_paired(model, x)
     h = t / (quad_points - 1)
     step = np.linalg.matrix_power(*_expm(galerkin_perturbed_generator(model, pert), h))
     ys = [x]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import datetime
 import io
-import itertools
 import json
 import math
 
@@ -71,25 +70,8 @@ def build_report(command: str, flags: dict, spec: ModelSpec, results: dict, elap
 
 
 def render_json(report: dict) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2)``, with each :class:`Table` written from its columns.
-
-    Tables are swapped for marker strings; each table's text goes in at its
-    marker's indentation.  A set of markers is used only when each occurs
-    exactly once in the text, so no string in the report can stand in for one.
-    """
-    for nonce in itertools.count():
-        tables = []
-        text = json.dumps(_swap_tables(report, tables, nonce), sort_keys=True, indent=2, allow_nan=False)
-        markers = [json.dumps(_marker(nonce, k)) for k in range(len(tables))]
-        if all(text.count(marker) == 1 for marker in markers):
-            break
-    pieces, done = [], 0
-    for at, marker, k in sorted((text.index(m), m, k) for k, m in enumerate(markers)):
-        line = text[text.rfind("\n", 0, at) + 1:at]
-        pieces += [text[done:at], *_json_table(tables[k], " " * (len(line) - len(line.lstrip(" "))))]
-        done = at + len(marker)
-    pieces.append(text[done:] + "\n")
-    return "".join(pieces)
+    """``json.dumps(report, sort_keys=True, indent=2)``, with each :class:`Table` written from its columns."""
+    return "".join([*_json_pieces(report, ""), "\n"])
 
 
 def strip_timing(report: dict) -> dict:
@@ -168,20 +150,8 @@ BLOCK_ROWS = 1 << 14
 #: JSON text of a non-finite table cell: the string ``num`` gives it.
 _JSON_NONFINITE = {repr(v): json.dumps(_nonfinite(v)) for v in (math.inf, -math.inf, math.nan)}
 
-
-def _marker(nonce: int, k: int) -> str:
-    return f"<table {nonce}:{k}>"
-
-
-def _swap_tables(obj, tables: list, nonce: int):
-    if isinstance(obj, Table):
-        tables.append(obj)
-        return _marker(nonce, len(tables) - 1)
-    if isinstance(obj, dict):
-        return {key: _swap_tables(value, tables, nonce) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_swap_tables(value, tables, nonce) for value in obj]
-    return obj
+#: JSON text of one scalar (or empty container); a non-finite float raises ``ValueError``.
+_JSON_ENCODE = json.JSONEncoder(allow_nan=False).encode
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -191,7 +161,7 @@ def _reprs(values: np.ndarray) -> list[str]:
 
 def _json_cells(values: np.ndarray) -> list[str]:
     if values.dtype.kind == "U":
-        return [json.dumps(s) for s in values.tolist()]
+        return [_JSON_ENCODE(s) for s in values.tolist()]
     cells = _reprs(values)
     if values.dtype.kind == "f" and not np.isfinite(values).all():
         cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
@@ -235,6 +205,30 @@ def _row_blocks(table: Table, cells, sep: str, between: str) -> list[str]:
         pieces += ["".join(out), between]
     pieces.pop()
     return pieces
+
+
+def _json_pieces(obj, indent: str):
+    """Pieces of the text ``json.dumps(sort_keys=True, indent=2)`` writes for ``obj`` on a line indented by ``indent``."""
+    if isinstance(obj, Table):
+        yield from _json_table(obj, indent)
+    elif isinstance(obj, dict) and obj:
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            yield f"{sep}{_JSON_ENCODE(key)}: "
+            yield from _json_pieces(value, inner)
+            sep = ",\n" + inner
+        yield f"\n{indent}}}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for value in obj:
+            yield sep
+            yield from _json_pieces(value, inner)
+            sep = ",\n" + inner
+        yield f"\n{indent}]"
+    else:
+        yield _JSON_ENCODE(obj)
 
 
 def _json_table(table: Table, indent: str) -> list[str]:

@@ -172,10 +172,6 @@ class PathEnsemble:
     def sample_count(self) -> int:
         return int(self.values.shape[0])
 
-    @property
-    def mode_count(self) -> int:
-        return int(self.values.shape[2])
-
 
 def sample_exact(
     model: DiagonalModel,

@@ -14,29 +14,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence, Union
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError, TruncationMismatchError
-
-NoiseDim = Union[int, Literal["countable"]]
 
 COUNTABLE = "countable"
 
 
 @dataclass(frozen=True)
 class SpectrumTail:
-    """Eigenvalue rule ``lambda_i = -(offset + c * i**p)`` for mode indices ``i >= next_index``.
+    """Eigenvalue rule ``lambda_i = -c * i**p`` for mode indices ``i >= next_index``.
 
     ``next_index`` is the global index of the first mode that is *not*
-    materialized; ``offset`` supports shifted families (A - omega constructions).
+    materialized.
     """
 
     c: float
     p: float
     next_index: int
-    offset: float = 0.0
 
     def __post_init__(self):
         if not (self.c > 0 and self.p > 0):
@@ -45,10 +42,7 @@ class SpectrumTail:
             raise PreconditionError("tail must start after at least one materialized mode")
 
     def eigenvalue(self, index):
-        return -(self.offset + self.c * np.asarray(index, dtype=float) ** self.p)
-
-    def shifted(self, omega: float) -> "SpectrumTail":
-        return SpectrumTail(self.c, self.p, self.next_index, self.offset + omega)
+        return -(self.c * np.asarray(index, dtype=float) ** self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,13 +51,11 @@ class DiagonalModel:
 
     ``eigenvalues`` holds the materialized modes.  ``tail`` is ``None`` for a
     genuinely finite model and a :class:`SpectrumTail` when the materialized
-    modes truncate an infinite power family.  ``noise_dim`` is the number of
-    noise channels, or ``"countable"``.
+    modes truncate an infinite power family.
     """
 
     eigenvalues: np.ndarray
     tail: SpectrumTail | None = None
-    noise_dim: NoiseDim = 1
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -72,47 +64,28 @@ class DiagonalModel:
         if not np.all(np.isfinite(lam)):
             raise PreconditionError("eigenvalues must be finite")
         object.__setattr__(self, "eigenvalues", lam)
-        if self.noise_dim != COUNTABLE and (not isinstance(self.noise_dim, int) or self.noise_dim < 1):
-            raise PreconditionError("noise_dim must be a positive integer or 'countable'")
 
     @property
     def mode_count(self) -> int:
         return int(self.eigenvalues.size)
 
     @classmethod
-    def from_eigenvalues(cls, values: Sequence[float], noise_dim: NoiseDim = 1) -> "DiagonalModel":
-        return cls(np.asarray(values, dtype=float), tail=None, noise_dim=noise_dim)
+    def from_eigenvalues(cls, values: Sequence[float]) -> "DiagonalModel":
+        return cls(np.asarray(values, dtype=float), tail=None)
 
     @classmethod
-    def from_power(
-        cls,
-        c: float,
-        p: float,
-        modes: int,
-        include_zero_mode: bool = True,
-        lambda0: float | None = None,
-        noise_dim: NoiseDim = 1,
-    ) -> "DiagonalModel":
+    def from_power(cls, c: float, p: float, modes: int, include_zero_mode: bool = True) -> "DiagonalModel":
         """Materialize ``modes`` eigenvalues of the family ``lambda_n = -c n**p``.
 
         With ``include_zero_mode`` the indices run 0..modes-1 (so the first
-        eigenvalue is 0), otherwise 1..modes.  ``lambda0`` overrides the first
-        materialized eigenvalue only.
+        eigenvalue is 0), otherwise 1..modes.
         """
         if modes < 1:
             raise PreconditionError("modes must be >= 1")
         start = 0 if include_zero_mode else 1
         idx = np.arange(start, start + modes, dtype=float)
-        lam = -c * idx**p
-        if lambda0 is not None:
-            lam[0] = float(lambda0)
         tail = SpectrumTail(c=float(c), p=float(p), next_index=start + modes)
-        return cls(lam, tail=tail, noise_dim=noise_dim)
-
-    def shifted(self, omega: float) -> "DiagonalModel":
-        """The model of the shifted generator (eigenvalues ``lambda_n - omega``)."""
-        tail = self.tail.shifted(omega) if self.tail is not None else None
-        return DiagonalModel(self.eigenvalues - omega, tail=tail, noise_dim=self.noise_dim)
+        return cls(-c * idx**p, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -152,13 +125,6 @@ class TailRule:
                 raise PreconditionError(f"cannot parse ell2 bound in {text!r}") from None
             return cls("ell2", bound)
         raise PreconditionError(f"unknown tail rule {text!r}")
-
-    def encode(self) -> str:
-        if self.kind == "constant":
-            return "constant"
-        if self.kind == "zero":
-            return "zero_tail"
-        return f"ell2:{self.value!r}"
 
 
 @dataclass(frozen=True, eq=False)

@@ -124,7 +124,7 @@ class TestGammaTime:
             lam, w = piecewise_spectrum(rng, max_modes=8)
             model, ctrl = finite_model(lam, w)
             omega = rng.uniform(-1.0, 1.0)
-            shifted = gamma_time(model.shifted(omega), ctrl, 1.0).value
+            shifted = gamma_time(DiagonalModel.from_eigenvalues(lam - omega), ctrl, 1.0).value
             oracle, _ = integrate.quad(
                 lambda t: math.exp(-2 * omega * t) * float(np.sum(w * np.exp(2 * lam * t))),
                 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200,

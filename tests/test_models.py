@@ -259,12 +259,12 @@ class TestDirichletFrequencyCriterion:
 
     def test_heat_converges(self):
         heat = build_heat_neumann("right", 64)
-        out = dirichlet_frequency_criterion(heat, 0.5, 1.0, 128)
+        out = dirichlet_frequency_criterion(heat.model, 0.5, 1.0, 128, ctrl=heat.control)
         assert out.verdict is Verdict.CONVERGED
 
     def test_three_routes_agree_on_heat(self):
         heat = build_heat_neumann("right", 64)
         time_v = gamma_time(heat.model, heat.control, 1.0).verdict
         freq_v = frequency_series(heat.model, heat.control, FrequencyGrid(1.0, 1.0, 128)).verdict
-        diri_v = dirichlet_frequency_criterion(heat, 1.0, 1.0, 128).verdict
+        diri_v = dirichlet_frequency_criterion(heat.model, 1.0, 1.0, 128, ctrl=heat.control).verdict
         assert time_v is freq_v is diri_v is Verdict.CONVERGED

@@ -247,6 +247,16 @@ class TestCli:
         assert report["command"] == "check"
         assert report["model"]["name"] == "heat-right"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, fmt, where):
+        path = write_spec(tmp_path, HEAT)
+        out = tmp_path / "no" / "such" / "report" if where == "missing_dir" else tmp_path
+        assert main(["check", "--model", path, "--format", fmt, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert captured.out == ""
+
     def test_omega_below_growth_bound_is_precondition_error(self, tmp_path, capsys):
         path = write_spec(tmp_path, HEAT)
         assert main(["check", "--model", path, "--omega", "-1.0"]) == 3

@@ -11,6 +11,7 @@ from boundarynoise import (
     PreconditionError,
     RankOnePerturbation,
     TailRule,
+    TruncationMismatchError,
     Verdict,
     build_heat_neumann,
     constant_one_feedback,
@@ -174,6 +175,17 @@ class TestPerturbedSemigroup:
         pert = RankOnePerturbation(b=np.array([1.0]), m=np.array([0.5]))
         with pytest.raises(PreconditionError, match="at least 2 quadrature points"):
             perturbed_orbit_defect(model, pert, 1.0, np.array([1.0]), quad_points=quad_points)
+
+    @pytest.mark.parametrize("route", [
+        lambda model, pert, x: perturbed_orbit_defect(model, pert, 0.5, x),
+        lambda model, pert, x: perturbed_semigroup_apply(model, pert, 0.5, x),
+        lambda model, pert, x: perturbed_semigroup_apply(model, pert, 0.5, x, method="volterra"),
+    ], ids=["orbit_defect", "galerkin", "volterra"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_state_of_another_truncation_refused(self, route, length):
+        model, pert = two_mode()
+        with pytest.raises(TruncationMismatchError, match="does not match model truncation 2"):
+            route(model, pert, np.ones(length))
 
 
 class TestScaledExponential:

@@ -62,7 +62,7 @@ def as_rows(obj):
         return [[json_cell(v) for v in row] for row in expand(obj)]
     if isinstance(obj, dict):
         return {k: as_rows(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [as_rows(v) for v in obj]
     return obj
 
@@ -137,8 +137,8 @@ class TestCliTables:
         assert capsys.readouterr().out == reference_csv(*seen[0])
 
     def test_marker_text_in_name_and_model_path(self, tmp_path, capsys, monkeypatch):
-        # the spec name and the --model path both equal the first marker render_json tries
-        marker = reports._marker(0, 0)
+        # the spec name and the --model path both look like a table placeholder
+        marker = "<table 0:0>"
         monkeypatch.chdir(tmp_path)
         write_spec(tmp_path, dict(HEAT, name=marker), name=marker)
         for argv in (["covariance"], ["report"]):
@@ -190,14 +190,21 @@ class TestCells:
         assert render_csv(["name", "v"], table) == reference_csv(["name", "v"], table)
 
     def test_markers_in_every_string(self):
-        marker = reports._marker(0, 0)
+        marker = "<table 0:0>"
         table = covariance_rows(np.eye(2))
         report = {marker: marker, "list": [marker, '"' + marker, json.dumps(marker)],
-                  "rows": table, "nested": {"rows": table, "x": reports._marker(1, 1)}}
+                  "rows": table, "nested": {"rows": table, "x": "<table 1:1>"}}
         assert render_json(report) == reference_json(report)
 
 
 cells = st.one_of(st.floats(width=64), st.floats(-1e6, 1e6), st.sampled_from(EDGE_FLOATS))
+# text that JSON escapes: non-ASCII, quotes, backslashes and control characters
+texts = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7féλ€😀')), max_size=8)
+leaves = st.one_of(texts, st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+                   st.none(), st.just({}), st.just([]), st.just(()))
+# nested dicts, lists and tuples, empty ones included
+json_values = st.recursive(leaves, lambda inner: st.one_of(
+    st.dictionaries(texts, inner, max_size=3), st.lists(inner, max_size=3), st.tuples(inner, inner)), max_leaves=8)
 
 
 @st.composite
@@ -216,9 +223,10 @@ def reports_with_tables(draw):
                    for _ in range(draw(st.integers(0, 3)))]
         columns.insert(draw(st.integers(0, len(columns))), Column(values, each=each, times=times))
         tables.append(Table(*columns))
-    report = {"tables": tables[0]}
+    report = {"tables": tables[0], draw(texts): draw(json_values)}
     for depth, table in enumerate(tables[1:]):
-        report = {"level": depth, "inner": [report, {"rows": table}], "text": draw(st.text(max_size=8))}
+        inner = draw(st.sampled_from([list, tuple]))([report, {"rows": table}])
+        report = {"level": depth, "inner": inner, "text": draw(texts), draw(texts): draw(json_values)}
     return report, tables
 
 

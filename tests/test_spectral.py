@@ -8,6 +8,7 @@ from boundarynoise import (
     Coefficients,
     DiagonalModel,
     PreconditionError,
+    SpectrumTail,
     TailRule,
     TruncationMismatchError,
     evaluate_semigroup,
@@ -70,7 +71,7 @@ class TestGrowthBound:
         assert growth_bound(model) == 0.0
 
     def test_tail_dominates_when_first_materialized_is_overridden(self):
-        model = DiagonalModel.from_power(1.0, 2.0, 3, include_zero_mode=True, lambda0=-50.0)
+        model = DiagonalModel(np.array([-50.0, -1.0, -4.0]), tail=SpectrumTail(1.0, 2.0, 3))
         # materialized: -50, -1, -4; tail starts at -9
         assert growth_bound(model) == -1.0
 
@@ -96,19 +97,6 @@ class TestConstruction:
         assert model.eigenvalues == pytest.approx([-1.0, -4.0, -9.0])
         assert model.tail.next_index == 4
 
-    def test_lambda0_override(self):
-        model = DiagonalModel.from_power(1.0, 2.0, 3, include_zero_mode=True, lambda0=-0.5)
-        assert model.eigenvalues == pytest.approx([-0.5, -1.0, -4.0])
-
-    def test_shifted(self):
-        model = heat_model(4).shifted(0.5)
-        assert model.eigenvalues == pytest.approx([-0.5, -1.5, -4.5, -9.5])
-        assert model.tail.eigenvalue(4) == pytest.approx(-16.5)
-
-    def test_rejects_bad_noise_dim(self):
-        with pytest.raises(PreconditionError):
-            DiagonalModel.from_eigenvalues([-1.0], noise_dim=0)
-
     def test_rejects_empty_spectrum(self):
         with pytest.raises(PreconditionError):
             DiagonalModel.from_eigenvalues([])
@@ -128,9 +116,6 @@ class TestCoefficients:
         assert TailRule.parse("constant") == TailRule("constant")
         assert TailRule.parse("zero_tail") == TailRule("zero")
         assert TailRule.parse("ell2:0.25") == TailRule("ell2", 0.25)
-        # spec-file encoding carries no constant value: it means "reuse the last row"
-        for rule in (TailRule("constant"), TailRule("zero"), TailRule("ell2", 1.0)):
-            assert TailRule.parse(rule.encode()) == rule
 
     def test_tail_rule_rejects_garbage(self):
         with pytest.raises(PreconditionError):
