@@ -23,14 +23,12 @@ import numpy as np
 from ._tails import power_envelope_tail
 from .admissibility import (
     DIVERGENCE_FLOOR,
-    FrequencyGrid,
     SeriesVerdict,
     Verdict,
     _converged,
     _diverged,
     _over_square,
     certify_tail,
-    frequency_series,
 )
 from .errors import PreconditionError, SingularResolventError
 from .spectral import COUNTABLE, Coefficients, DiagonalModel, TailRule, _require_paired
@@ -209,32 +207,22 @@ def build_transport(r: float, d: Union[int, str] = 1) -> TransportModel:
     return TransportModel(delay=float(r), noise_dim=d)
 
 
-def dirichlet_frequency_criterion(
-    model,
-    omega: float,
-    T: float,
-    n_max: int,
-    ctrl: Coefficients | None = None,
-) -> SeriesVerdict:
-    """Frequency criterion on the stationary solution map itself.
+def dirichlet_frequency_criterion(model: TransportModel, omega: float, T: float, n_max: int) -> SeriesVerdict:
+    """Frequency criterion on the transport model's stationary solution map.
 
-    For diagonal models this is the coefficient frequency series (the solution
-    map factors through the resolvent).  For the transport model the closed
-    form is constant in ``n``: divergent for every ``d >= 1``, and already
-    infinite per term for countable noise.
+    The closed form is constant in ``n``: divergent for every ``d >= 1``, and
+    already infinite per term for countable noise.  (On a diagonal model the
+    solution map factors through the resolvent, so its series is
+    :func:`.frequency_series` itself.)
     """
-    if isinstance(model, TransportModel):
-        if T <= 0:
-            raise PreconditionError("horizon must be positive")
-        if n_max < 1:
-            raise PreconditionError("n_max must be >= 1")
-        if model.noise_dim == COUNTABLE:
-            return _diverged(math.inf, "single term infinite: countable noise channels")
-        term = model.dirichlet_hs_norm_sq(omega)
-        partial = (2 * n_max + 1) * term
-        if term <= DIVERGENCE_FLOOR:
-            return _converged(partial, 0.0, 0.0, "terms below divergence threshold")
-        return _diverged(partial, "terms constant in n")
-    if ctrl is None:
-        raise PreconditionError("diagonal models need control coefficients")
-    return frequency_series(model, ctrl, FrequencyGrid(omega, T, n_max))
+    if T <= 0:
+        raise PreconditionError("horizon must be positive")
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
+    if model.noise_dim == COUNTABLE:
+        return _diverged(math.inf, "single term infinite: countable noise channels")
+    term = model.dirichlet_hs_norm_sq(omega)
+    partial = (2 * n_max + 1) * term
+    if term <= DIVERGENCE_FLOOR:
+        return _converged(partial, 0.0, 0.0, "terms below divergence threshold")
+    return _diverged(partial, "terms constant in n")

@@ -253,6 +253,14 @@ def sample_grid(
         raise PreconditionError(f"unknown scheme {scheme!r}")
 
     n = model.mode_count
+    shared = scheme == "shared_increment"
+    width = ctrl.channel_count if shared else n
+    # refused before any array is sized by the step count
+    if samples * steps * width > 2**28:
+        raise PreconditionError(
+            "requested ensemble needs more than 2^28 standard normal increments; "
+            "reduce samples or coarsen dt"
+        )
     lam = model.eigenvalues
     decay = np.exp(lam * dt)
     if save_times is None:
@@ -265,13 +273,6 @@ def sample_grid(
         keep = np.unique(keep)
     keep_set = {int(k): j for j, k in enumerate(keep)}
 
-    shared = scheme == "shared_increment"
-    width = ctrl.channel_count if shared else n
-    if samples * steps * width > 2**28:
-        raise PreconditionError(
-            "requested ensemble needs more than 2^28 standard normal increments; "
-            "reduce samples or coarsen dt"
-        )
     if shared:
         # one Wiener increment per channel, rescaled to the exact per-mode one-step variance
         factor = np.sqrt(exp_integral(lam, dt) / dt)

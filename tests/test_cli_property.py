@@ -141,6 +141,8 @@ HUGE_STABLE = {
 @example(payload=HUGE_STABLE, fmt="json", options={}, override=False)
 @example(payload={"name": "heat", "modes": 4, "control": {"preset": "heat_neumann_right"}}, fmt="json",
          options={"--omega": "1e-170"}, override=False)
+@example(payload={"name": "heat", "modes": 4, "control": {"preset": "heat_neumann_right"}}, fmt="json",
+         options={"--dt": "1e-300"}, override=False)
 def test_every_run_exits_0_2_or_3(spec_path, command, payload, fmt, options, override):
     spec_path.write_text(json.dumps(payload))
     argv = [command, "--model", str(spec_path), "--format", fmt]

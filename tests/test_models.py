@@ -17,12 +17,9 @@ from boundarynoise import (
     constant_one_feedback,
     dirichlet_frequency_criterion,
     dirichlet_hs_norm_spectral,
-    frequency_series,
-    gamma_time,
     heat_dirichlet_closed_form,
     heat_dirichlet_hs_norm_quadrature,
 )
-from boundarynoise import FrequencyGrid
 from helpers import heat_field
 
 SQ_PI = math.sqrt(math.pi)
@@ -256,15 +253,3 @@ class TestDirichletFrequencyCriterion:
                 for omega in (0.0, 0.5, 2.0):
                     out = dirichlet_frequency_criterion(build_transport(r, d), omega, 1.0, 5)
                     assert out.verdict is Verdict.DIVERGED
-
-    def test_heat_converges(self):
-        heat = build_heat_neumann("right", 64)
-        out = dirichlet_frequency_criterion(heat.model, 0.5, 1.0, 128, ctrl=heat.control)
-        assert out.verdict is Verdict.CONVERGED
-
-    def test_three_routes_agree_on_heat(self):
-        heat = build_heat_neumann("right", 64)
-        time_v = gamma_time(heat.model, heat.control, 1.0).verdict
-        freq_v = frequency_series(heat.model, heat.control, FrequencyGrid(1.0, 1.0, 128)).verdict
-        diri_v = dirichlet_frequency_criterion(heat.model, 1.0, 1.0, 128, ctrl=heat.control).verdict
-        assert time_v is freq_v is diri_v is Verdict.CONVERGED

@@ -142,11 +142,35 @@ class TestCli:
         for route in results["routes"].values():
             assert route["verdict"] == "Converged"
 
+    def test_check_heat_dirichlet_route_is_the_dual_series(self, tmp_path, capsys):
+        # on a diagonal model the stationary solution map factors through the resolvent,
+        # so the Dirichlet route is reported as an alias of the dual frequency route
+        path = write_spec(tmp_path, dict(HEAT, modes=64))
+        assert main(["check", "--model", path, "--omega", "0.5", "--freq-terms", "128"]) == 0
+        routes = json.loads(capsys.readouterr().out)["results"]["routes"]
+        dirichlet = dict(routes["dirichlet_frequency"])
+        assert dirichlet.pop("same_as") == "dual_frequency"
+        assert dirichlet == routes["dual_frequency"]
+        assert dirichlet["verdict"] == "Converged"
+        assert "same_as" not in routes["dual_frequency"] and "same_as" not in routes["time_domain"]
+
+    @pytest.mark.parametrize("command", ["check", "covariance"])
+    def test_huge_horizon_prints_no_warnings(self, tmp_path, capsys, command):
+        # e^{2 lambda T} and a T overflow to their limits: expm1 -> -1, tanh -> 1, x / inf -> 0
+        path = write_spec(tmp_path, dict(HEAT, modes=16))
+        assert main([command, "--model", path, "--T", "1e308"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        verdict = results["routes"]["time_domain"] if command == "check" else results["trace"]
+        assert verdict["verdict"] == "Converged"
+
     def test_check_transport_diverges_with_witness(self, tmp_path, capsys):
         path = write_spec(tmp_path, TRANSPORT)
         assert main(["check", "--model", path, "--omega", "1", "--T", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
         route = report["results"]["routes"]["dirichlet_frequency"]
+        assert "same_as" not in route
         assert route["verdict"] == "Diverged"
         assert route["evidence"] == "terms constant in n"
         assert route["tail_bound"] == "unbounded"

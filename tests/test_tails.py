@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import polygamma
 
 from boundarynoise._tails import (
@@ -99,3 +102,93 @@ def test_frequency_mode_tail_encloses_brute_force():
 def test_zero_weight_short_circuits():
     assert gamma_power_tail(1.0, 2.0, 0.0, 0.0, 1.0, 4, abs_target=1e-6).upper == 0.0
     assert frequency_mode_tail(1.0, 2.0, 1.0, 0.0, 1.0, 4, abs_target=1e-6).upper == 0.0
+
+
+# --- mpmath oracle for the one power-family bracket ---------------------------------------------
+#
+# Beyond an index n0 where offset / (c i**p) and extra_sq / a_i**q are at most 1e-2, every
+# envelope part sum_{i >= n0} a_i**-m is a binomial series in offset / (c i**p) of Hurwitz zeta
+# values; the exponentially small parts are summed directly; terms below n0 are summed one by one.
+
+_TINY = mpmath.mpf(10) ** -28
+
+
+def _power_sum(c, p, off, m, n0):
+    """``sum_{i >= n0} (off + c i**p)**-m`` with ``|off| <= 1e-2 c n0**p``."""
+    total, coeff, k = mpmath.mpf(0), mpmath.mpf(1), 0
+    while True:
+        term = coeff * (off / c) ** k * mpmath.zeta(p * (m + k), n0)
+        total += term
+        if abs(term) <= _TINY * abs(total):
+            return total / c**m
+        k += 1
+        coeff *= (-m - k + 1) / k
+
+
+def _direct(term, start, stop=None):
+    """``sum_{start <= i < stop} term(i)``; without ``stop``, until a term is negligible."""
+    total, i = mpmath.mpf(0), start
+    while i != stop:
+        t = term(i)
+        total += t
+        i += 1
+        if stop is None and t <= _TINY * total:
+            return total
+    return total
+
+
+def _oracle(family, c, p, off, w, T, start, q=1.0, extra=0.0):
+    mpmath.mp.dps = 30
+    c, p, off, w, q, extra = (mpmath.mpf(v) for v in (c, p, off, w, q, extra))
+    a = lambda i: off + c * mpmath.mpf(i) ** p
+    n0 = max(start, math.ceil((100 * abs(float(off)) / float(c)) ** (1 / float(p))),
+             math.ceil((2 * (100 * float(extra)) ** (1 / float(q)) / float(c)) ** (1 / float(p)))) + 1
+    if family == "power":
+        head = _direct(lambda i: w / (a(i) ** q + extra), start, n0)
+        j, rest = 0, mpmath.mpf(0)
+        while True:
+            part = (-extra) ** j * _power_sum(c, p, off, q * (j + 1), n0)
+            rest += part
+            if abs(part) <= _TINY * abs(rest):
+                return head + w * rest
+            j += 1
+    T = None if T is None else mpmath.mpf(T)
+    if family == "gamma" and T is None:
+        return _direct(lambda i: w / (2 * a(i)), start, n0) + w / 2 * _power_sum(c, p, off, 1, n0)
+    if family == "gamma":
+        head = _direct(lambda i: w * -mpmath.expm1(-2 * a(i) * T) / (2 * a(i)), start, n0)
+        return head + w / 2 * _power_sum(c, p, off, 1, n0) - _direct(
+            lambda i: w * mpmath.exp(-2 * a(i) * T) / (2 * a(i)), n0)
+    head = _direct(lambda i: w * T / (2 * a(i)) * mpmath.coth(a(i) * T / 2), start, n0)
+    return head + w * T / 2 * _power_sum(c, p, off, 1, n0) + _direct(
+        lambda i: w * T / (a(i) * mpmath.expm1(a(i) * T)), n0)
+
+
+@st.composite
+def power_families(draw):
+    c, p, start = draw(st.floats(0.2, 5.0)), draw(st.floats(1.1, 3.0)), draw(st.integers(1, 200))
+    off = draw(st.floats(-0.5 * c * start**p, 2.0))
+    return c, p, off, draw(st.floats(0.01, 5.0)), draw(st.floats(0.05, 5.0)), start, draw(st.floats(-10.0, -2.0))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(params=power_families(), q=st.floats(1.0, 2.5), extra=st.floats(0.0, 4.0))
+@example(params=(1.0, 2.0, 0.1, 1.0, 1e-3, 1, -2.0), q=2.0, extra=0.0)  # stops where a T << 1: coth matters
+@example(params=(1.0, 1.1, 0.0, 1.0, 1.0, 1, -6.0), q=1.0, extra=4.0)  # extra_sq matters at the stop
+def test_every_bracket_encloses_the_mpmath_oracle(params, q, extra):
+    c, p, off, w, T, start, log_rel = params
+    cases = [
+        ("gamma", gamma_power_tail, (c, p, off, w, T, start), {}),
+        ("gamma", gamma_power_tail, (c, p, off, w, None, start), {}),
+        ("frequency", frequency_mode_tail, (c, p, abs(off) + 0.1, w, T, start), {}),
+        ("power", power_envelope_tail, (c, p, q, abs(off) + 0.1, w, start), {"extra_sq": extra}),
+    ]
+    for family, bracket_of, args, kw in cases:
+        if family == "power":
+            truth = _oracle(family, c, p, abs(off) + 0.1, w, None, start, q=q, extra=extra)
+        else:
+            truth = _oracle(family, *args[:3], w, args[4], start)
+        bracket = bracket_of(*args, abs_target=10.0**log_rel * float(truth), **kw)
+        # the width carries no rounding term yet: allow the float sum's few ulps
+        slack = 64 * np.finfo(float).eps * float(truth)
+        assert bracket.lower - slack <= truth <= bracket.upper + slack, (family, float(truth), bracket)
