@@ -219,11 +219,11 @@ def gamma_time(model: DiagonalModel, coeffs: Coefficients, T: float) -> SeriesVe
     )
 
 
-def gamma_infinite(model: DiagonalModel, coeffs: Coefficients, t0: float = 1.0) -> SeriesVerdict:
+def gamma_infinite(model: DiagonalModel, coeffs: Coefficients) -> SeriesVerdict:
     """Infinite-horizon value ``sum_n w_n / (2 |lambda_n|)`` for exponentially stable models.
 
     Requires a certified negative growth bound.  The evidence also records the
-    geometric cross-bound ``gamma(t0) / (1 - q^2)`` with ``q = exp(g t0)``, which
+    geometric cross-bound ``gamma(1) / (1 - q^2)`` with ``q = exp(g)``, which
     the exact value can never exceed.
     """
     model = _require_diagonal(model)
@@ -233,16 +233,14 @@ def gamma_infinite(model: DiagonalModel, coeffs: Coefficients, t0: float = 1.0) 
         raise PreconditionError(
             f"infinite-horizon criterion requires exponential stability; growth bound {g:g} >= 0"
         )
-    if t0 <= 0:
-        raise PreconditionError("t0 must be positive")
     partial = float(np.sum(coeffs.weights / (2.0 * np.abs(model.eigenvalues))))
 
     geo_note = ""
-    finite_t = gamma_time(model, coeffs, t0)
+    finite_t = gamma_time(model, coeffs, 1.0)
     if finite_t.verdict is Verdict.CONVERGED:
-        q = math.exp(g * t0)
+        q = math.exp(g)
         geo = finite_t.upper / (1.0 - q * q)
-        geo_note = f"; geometric cross-bound {geo:.17g} from horizon {t0:g}"
+        geo_note = f"; geometric cross-bound {geo:.17g} from horizon 1"
     return certify_tail(
         partial, model, coeffs,
         lambda tail: 0.5 / -float(tail.eigenvalue(tail.next_index)),

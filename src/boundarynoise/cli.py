@@ -10,6 +10,10 @@ Commands::
     dyadic        dyadic diagnostic sum
     report        aggregate of the applicable commands
 
+Every command takes --model, --modes, --format and --output, plus only the
+flags it reads (see its --help); any other flag is refused like an unknown
+one.  report's --freq-terms sets the grid of its check section only.
+
 Exit codes: 0 for completed runs (a Diverged verdict is a result, not an
 error), 2 for input/schema problems, 3 for violated preconditions including
 the existence gate.
@@ -117,6 +121,8 @@ def cmd_covariance(args, bundle: ModelBundle) -> tuple[dict, list | None, Table 
 
 
 def cmd_simulate(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
+    if args.seed < 0:  # a SeedSequence entropy is a non-negative integer
+        raise argparse.ArgumentTypeError(f"--seed must be a non-negative integer, got {args.seed}")
     if bundle.kind == "transport":
         n_max = args.freq_terms if args.freq_terms is not None else 256
         omega = _default_omega(bundle, args.omega)
@@ -227,33 +233,25 @@ def cmd_report(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | No
     sections = {"check": cmd_check(args, bundle)[0]}
     if bundle.kind == "diagonal":
         sections["covariance"] = cmd_covariance(args, bundle)[0]
-        sections["dyadic"] = cmd_dyadic(args, bundle)[0]
+        # --freq-terms sets the check section's grid; the dyadic section keeps its default range
+        sections["dyadic"] = cmd_dyadic(argparse.Namespace(freq_terms=None), bundle)[0]
         if bundle.perturbation is not None:
             sections["perturbation"] = cmd_perturb_check(args, bundle)[0]
     return sections, None, None
 
 
+#: Each command and the flags it reads besides ``_COMMON``; a flag it does not read is refused (exit 2).
+#: simulate reads --omega and --freq-terms only for the transport existence gate.
 _COMMANDS = {
-    "check": cmd_check,
-    "covariance": cmd_covariance,
-    "simulate": cmd_simulate,
-    "perturb-check": cmd_perturb_check,
-    "scan-weiss": cmd_scan_weiss,
-    "dyadic": cmd_dyadic,
-    "report": cmd_report,
+    "check": (cmd_check, ("--T", "--omega", "--freq-terms")),
+    "covariance": (cmd_covariance, ("--T",)),
+    "simulate": (cmd_simulate, ("--T", "--samples", "--seed", "--dt", "--scheme", "--override-existence-gate",
+                                "--omega", "--freq-terms")),
+    "perturb-check": (cmd_perturb_check, ("--T",)),
+    "scan-weiss": (cmd_scan_weiss, ("--omega",)),
+    "dyadic": (cmd_dyadic, ("--freq-terms",)),
+    "report": (cmd_report, ("--T", "--omega", "--freq-terms")),
 }
-
-
-def _flag_echo(args) -> dict:
-    # the output destination is where the report goes, not part of the run
-    echo = {}
-    for key in ("model", "T", "omega", "modes", "freq_terms", "samples", "seed", "dt",
-                "scheme", "format", "override_existence_gate"):
-        if hasattr(args, key):
-            value = getattr(args, key)
-            if value is not None:
-                echo[key.replace("_", "-")] = value
-    return echo
 
 
 def _finite_float(text: str) -> float:
@@ -267,44 +265,50 @@ def _finite_float(text: str) -> float:
     return value
 
 
+#: Every flag once, in help order; ``_COMMON`` and ``_COMMANDS`` say which commands take it.
+_FLAGS = {
+    "--model": dict(required=True, help="path to a model-spec JSON file"),
+    "--T": dict(type=_finite_float, default=1.0, help="time horizon (default 1)"),
+    "--omega": dict(type=_finite_float, default=None,
+                    help="abscissa for frequency criteria (default: growth bound + 1; "
+                         "scan-weiss: growth bound + 0.1; transport: 1)"),
+    "--modes": dict(type=int, default=None, help="re-truncate preset models"),
+    "--freq-terms": dict(dest="freq_terms", type=int, default=None,
+                         help="frequency grid half-width (default 256; report: its check section only) "
+                              "/ dyadic range (dyadic: default 10)"),
+    "--samples": dict(type=int, default=1000),
+    "--seed": dict(type=int, default=0),
+    "--dt": dict(type=_finite_float, default=None,
+                 help="grid step for trajectory sampling (default: exact endpoint draw)"),
+    "--scheme": dict(choices=["shared_increment", "exact_joint"], default="shared_increment"),
+    "--override-existence-gate": dict(dest="override_existence_gate", action="store_true"),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--output": dict(default=None, help="write the report here instead of stdout"),
+}
+#: Flags that ``main`` reads for every command.
+_COMMON = ("--model", "--modes", "--format", "--output")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="boundarynoise", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, own) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--model", required=True, help="path to a model-spec JSON file")
-        p.add_argument("--T", type=_finite_float, default=1.0, help="time horizon (default 1)")
-        p.add_argument("--omega", type=_finite_float, default=None,
-                       help="abscissa for frequency criteria (default: growth bound + 1; "
-                            "scan-weiss: growth bound + 0.1; transport: 1)")
-        p.add_argument("--modes", type=int, default=None, help="re-truncate preset models")
-        p.add_argument("--freq-terms", dest="freq_terms", type=int, default=None,
-                       help="frequency grid half-width (check: 256) / dyadic range (dyadic: 10)")
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--dt", type=_finite_float, default=None,
-                       help="grid step for trajectory sampling (default: exact endpoint draw)")
-        p.add_argument("--scheme", choices=["shared_increment", "exact_joint"],
-                       default="shared_increment")
-        p.add_argument("--override-existence-gate", dest="override_existence_gate",
-                       action="store_true")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--output", default=None, help="write the report here instead of stdout")
+        for flag, options in _FLAGS.items():
+            if flag in _COMMON or flag in own:
+                p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed < 0:  # a SeedSequence entropy is a non-negative integer
-        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
-        return 2
     started = time.perf_counter()
     try:
         bundle = build_bundle(parse_model(args.model), modes_override=args.modes)
-        results, header, rows = _COMMANDS[args.command](args, bundle)
-    except (SpecValidationError, OSError) as exc:
+        results, header, rows = _COMMANDS[args.command][0](args, bundle)
+    except (SpecValidationError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BoundaryNoiseError as exc:
@@ -316,8 +320,10 @@ def main(argv=None) -> int:
             return 2
         text = render_csv(header, rows)
     else:
-        report = build_report(args.command, _flag_echo(args), bundle.spec, results,
-                              time.perf_counter() - started)
+        # the flags the command's parser read; the output destination is not part of the run
+        flags = {key.replace("_", "-"): value for key, value in vars(args).items()
+                 if key not in ("command", "output") and value is not None}
+        report = build_report(args.command, flags, bundle.spec, results, time.perf_counter() - started)
         text = render_json(report)
     if args.output is None:
         sys.stdout.write(text)

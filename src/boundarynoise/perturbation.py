@@ -30,6 +30,8 @@ from .spectral import Coefficients, DiagonalModel, _check_paired, _require_paire
 
 #: The ladder is Cauchy when its last two levels agree within this fraction.
 LADDER_REL_TOL = 0.01
+#: Uniform time points on which :func:`perturbed_orbit_defect` evolves and integrates the orbit.
+_ORBIT_POINTS = 2049
 
 
 def _expm(a: np.ndarray, t: float) -> tuple[np.ndarray, int]:
@@ -42,8 +44,8 @@ def _expm(a: np.ndarray, t: float) -> tuple[np.ndarray, int]:
     from scipy import linalg
 
     mant, k = math.frexp(float(np.linalg.norm(a, 1)) * t)
-    m = 2 ** max(0, k - (mant == 0.5))
-    return linalg.expm((t / m) * a), m
+    e = max(0, k - (mant == 0.5))
+    return linalg.expm(math.ldexp(t, -e) * a), 2**e  # t / 2**e, but 2**1024 converts to no float
 
 
 #: ``|lambda h|`` below which the weights come from their Taylor series (17 terms reach
@@ -174,7 +176,9 @@ def perturbed_gamma_time(
     family; a finite explicit model is already the whole operator, so it is
     evaluated at ``N`` alone (the ladder would just drop modes).
 
-    Requires the unperturbed criterion to be Converged first.
+    Requires the unperturbed criterion to be Converged first.  A level whose
+    Van Loan block norm times ``T``, or whose Gramian, overflows float64 ends
+    the ladder Inconclusive, naming the overflow.
     """
     base = gamma_time(model, ctrl, T)
     if base.verdict is not Verdict.CONVERGED:
@@ -198,13 +202,19 @@ def perturbed_gamma_time(
         # Van Loan: expm(h [[-A, BB^T], [0, A^T]]) = [[E^-1, E^-1 P(h)], [0, E^T]], E = expm(h A),
         # at h = T / m (E^-1 overflows at h = T); log2(m) doublings P(2h) = P(h) + E P(h) E^T reach T
         gen, b_cols = galerkin_perturbed_generator(model, pert, n), ctrl.array[:n]
-        ex, m = _expm(np.block([[-gen, b_cols @ b_cols.T], [np.zeros((n, n)), gen.T]]), T)
+        block = np.block([[-gen, b_cols @ b_cols.T], [np.zeros((n, n)), gen.T]])
+        if not math.isfinite(float(np.linalg.norm(block, 1)) * T):
+            return _inconclusive(math.nan, f"the Van Loan block's norm times T={T:g} overflows float64 at N={n}")
+        ex, m = _expm(block, T)
         step = ex[n:, n:].T
         gram = step @ ex[:n, n:]
-        for _ in range(m.bit_length() - 1):
-            gram = gram + step @ gram @ step.T
-            step = step @ step
+        with np.errstate(over="ignore", invalid="ignore"):  # a growing semigroup overflows: reported below
+            for _ in range(m.bit_length() - 1):
+                gram = gram + step @ gram @ step.T
+                step = step @ step
         values.append(float(np.trace(gram)))
+        if not math.isfinite(values[-1]):
+            return _inconclusive(values[-1], f"the perturbed Gramian overflows float64 at N={n}, T={T:g}")
 
     ladder = ", ".join(f"N={n}: {v:.8g}" for n, v in zip(levels, values))
     if len(values) == 1:
@@ -223,28 +233,25 @@ def perturbed_orbit_defect(
     pert: RankOnePerturbation,
     t: float,
     x: np.ndarray,
-    quad_points: int = 2049,
 ) -> float:
     """Residual of the variation-of-constants identity at time ``t``.
 
     Compares ``y(t) - orbit(t)`` against ``int_0^t exp(lambda (t-s)) b (m . y(s)) ds``
-    with ``y`` the Galerkin evolution on ``quad_points`` uniform points and the
+    with ``y`` the Galerkin evolution on ``_ORBIT_POINTS`` uniform points and the
     feed ``m . y`` linear between them (the weights of :func:`_exp_weights`);
     the identity closing on itself validates both routes at once.
     """
     if t <= 0:
         raise PreconditionError("time must be positive")
-    if quad_points < 2:
-        raise PreconditionError(f"need at least 2 quadrature points, got {quad_points}")
     x = _check_paired(model, x)
-    h = t / (quad_points - 1)
+    h = t / (_ORBIT_POINTS - 1)
     step = np.linalg.matrix_power(*_expm(galerkin_perturbed_generator(model, pert), h))
     ys = [x]
-    for _ in range(quad_points - 1):
+    for _ in range(_ORBIT_POINTS - 1):
         ys.append(step @ ys[-1])
     feed = np.array(ys) @ pert.m
     _, w0, w1 = _exp_weights(model.eigenvalues, h)
-    decay = np.exp(np.multiply.outer(t - np.linspace(0.0, t, quad_points)[1:], model.eigenvalues))
+    decay = np.exp(np.multiply.outer(t - np.linspace(0.0, t, _ORBIT_POINTS)[1:], model.eigenvalues))
     conv = (w0 * (feed[:-1] @ decay) + w1 * (feed[1:] @ decay)) * pert.b
     lhs = ys[-1] - evaluate_semigroup(model, t, x)
     scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(conv)), 1e-300)

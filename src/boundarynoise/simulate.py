@@ -24,11 +24,11 @@ import numpy as np
 
 from .admissibility import SeriesVerdict, Verdict, gamma_time
 from .errors import ExistenceGateError, FactorizationError, PreconditionError
-from .spectral import Coefficients, DiagonalModel, _require_paired, evaluate_semigroup, exp_integral, expm1_over
+from .spectral import Coefficients, DiagonalModel, _require_paired, exp_integral, expm1_over
 
 #: Eigenvalues of a covariance are allowed below zero by at most this times the trace.
 PSD_TOLERANCE = 1e-10
-#: Stored times of a grid ensemble when the caller names none (0 and T included).
+#: Most stored times of a grid ensemble, evenly spaced (0 and T included).
 MAX_SAVED_TIMES = 33
 #: Standard normals a grid ensemble draws at once (8 MiB); it steps its samples in blocks of this many draws.
 BLOCK_DRAWS = 2**20
@@ -179,35 +179,25 @@ def sample_exact(
     T: float,
     samples: int,
     seed: int,
-    x0: np.ndarray | None = None,
 ) -> PathEnsemble:
     """Draw the horizon-``T`` convolution exactly from its Gaussian law.
 
     Each sample is ``L z`` with ``L`` the symmetric PSD root of the covariance
-    and ``z`` standard normal from that sample's stream, plus the decayed
-    initial state when one is supplied.
+    and ``z`` standard normal from that sample's stream.
     """
     if samples < 1:
         raise PreconditionError("need at least one sample")
     cov = covariance_qt(model, ctrl, T)
     root = factor_psd(cov.matrix)
-    n = model.mode_count
-    drift = np.zeros(n) if x0 is None else evaluate_semigroup(model, T, np.asarray(x0, dtype=float))
-    # z stays bound until the sum: freed earlier, its pages are faulted in again on every call
-    z = _standard_normals(seed, 0, samples, (n,))
-    values = z @ root.T + drift[None, :]
+    # z stays bound until the product: freed earlier, its pages are faulted in again on every call
+    z = _standard_normals(seed, 0, samples, (model.mode_count,))
+    values = z @ root.T
     return PathEnsemble(
         times=np.array([float(T)]),
         values=values[:, None, :],
         seed=int(seed),
         scheme="exact",
     )
-
-
-def _save_indices(steps: int) -> np.ndarray:
-    if steps + 1 <= MAX_SAVED_TIMES:
-        return np.arange(steps + 1)
-    return np.unique(np.round(np.linspace(0, steps, MAX_SAVED_TIMES)).astype(int))
 
 
 def sample_grid(
@@ -218,8 +208,6 @@ def sample_grid(
     samples: int,
     seed: int,
     scheme: str = "shared_increment",
-    x0: np.ndarray | None = None,
-    save_times: np.ndarray | None = None,
 ) -> PathEnsemble:
     """Propagate trajectories of the convolution on a uniform grid of step ``dt``.
 
@@ -233,9 +221,8 @@ def sample_grid(
       one-step covariance, so every stored time has the exact joint law at any
       step size.
 
-    ``dt`` must divide ``T``.  By default at most ``MAX_SAVED_TIMES`` evenly
-    spaced times (including 0 and T) are stored; pass ``save_times``
-    (multiples of ``dt``) to choose.  Samples are drawn and stepped in place in
+    ``dt`` must divide ``T``.  At most ``MAX_SAVED_TIMES`` evenly spaced times
+    (including 0 and T) are stored.  Samples are drawn and stepped in place in
     equal blocks of at most ``BLOCK_DRAWS`` standard normals (or one sample).
     """
     if dt <= 0:
@@ -263,14 +250,7 @@ def sample_grid(
         )
     lam = model.eigenvalues
     decay = np.exp(lam * dt)
-    if save_times is None:
-        keep = _save_indices(steps)
-    else:
-        req = np.asarray(save_times, dtype=float)
-        keep = np.round(req / dt).astype(int)
-        if np.any(np.abs(keep * dt - req) > 1e-9 * max(T, 1.0)) or np.any(keep < 0) or np.any(keep > steps):
-            raise PreconditionError("save_times must be multiples of dt inside [0, T]")
-        keep = np.unique(keep)
+    keep = np.unique(np.round(np.linspace(0, steps, MAX_SAVED_TIMES)).astype(int))  # every step up to 32 steps
     keep_set = {int(k): j for j, k in enumerate(keep)}
 
     if shared:
@@ -291,7 +271,7 @@ def sample_grid(
             increment = np.empty((s1 - s0, n))
         else:
             draws = draws @ step_root_t  # one (steps x n) product per sample, whatever the block
-        x = np.zeros((s1 - s0, n)) if x0 is None else np.tile(np.asarray(x0, dtype=float), (s1 - s0, 1))
+        x = np.zeros((s1 - s0, n))
         if 0 in keep_set:
             out[s0:s1, keep_set[0], :] = x
         for j in range(steps):
@@ -318,23 +298,25 @@ class EnsembleStats:
     sample_count: int
 
 
-def ensemble_stats(ensemble: PathEnsemble, time_index: int = -1) -> EnsembleStats:
-    """Estimate mean and covariance of the ensemble at one stored time.
+def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
+    """Estimate mean and covariance of the ensemble at its last stored time.
 
     Covariance uses the unbiased ``1/(n-1)`` normalization; its standard
     errors come from the Gaussian formula
-    ``Var(C_nm) = (C_nn C_mm + C_nm^2) / (n - 1)``.
+    ``Var(C_nm) = (C_nn C_mm + C_nm^2) / (n - 1)``.  A product that overflows
+    float64 takes its limit, ``inf``, without a warning.
     """
     n = ensemble.sample_count
     if n < 2:
         raise PreconditionError("need at least two samples for covariance estimates")
-    x = ensemble.values[:, time_index, :]
+    x = ensemble.values[:, -1, :]
     mean = x.mean(axis=0)
     centered = x - mean[None, :]
-    cov = centered.T @ centered / (n - 1)
-    var = np.diag(cov)
-    mean_se = np.sqrt(var / n)
-    cov_se = np.sqrt((np.outer(var, var) + cov**2) / (n - 1))
+    with np.errstate(over="ignore"):
+        cov = centered.T @ centered / (n - 1)
+        var = np.diag(cov)
+        mean_se = np.sqrt(var / n)
+        cov_se = np.sqrt((np.outer(var, var) + cov**2) / (n - 1))
     return EnsembleStats(mean=mean, mean_se=mean_se, covariance=cov, covariance_se=cov_se, sample_count=n)
 
 

@@ -159,7 +159,7 @@ class TestGammaInfinite:
         for _ in range(15):
             lam, w = piecewise_spectrum(rng)
             model, ctrl = finite_model(lam, w)
-            out = gamma_infinite(model, ctrl, t0=rng.uniform(0.2, 2.0))
+            out = gamma_infinite(model, ctrl)
             assert "geometric cross-bound" in out.evidence
             bound = float(out.evidence.split("geometric cross-bound", 1)[1].split("from")[0])
             assert out.value <= bound * (1 + 1e-9)

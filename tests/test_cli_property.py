@@ -1,11 +1,12 @@
 """Property test of the input boundary: any spec file and flags end in exit 0, 2 or 3.
 
 Specs mix well-formed blocks with ragged and wrongly typed rows, missing and
-unknown fields, and junk values.  Numbers stay small enough that no float64
-sum overflows, so a RuntimeWarning (an error under this suite's settings)
-means a defect, not an overflowing input.
+unknown fields, and junk values.  Each command gets exactly the flags its
+parser accepts.  A RuntimeWarning (an error under this suite's settings)
+means a defect: a float64 value that overflows takes its limit silently.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,9 +15,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from boundarynoise.cli import main
+from boundarynoise.cli import build_parser, main
 
-COMMANDS = ["check", "covariance", "simulate", "perturb-check", "scan-weiss", "dyadic", "report"]
+
+def accepted_flags() -> dict:
+    """Each command's long options, read from the parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions if a.dest != "help" for o in a.option_strings}
+            for name, p in sub.choices.items()}
+
+
+ACCEPTED = accepted_flags()
+COMMANDS = list(ACCEPTED)
 
 HEAT = ["heat_neumann_left", "heat_neumann_right"]
 small = st.floats(-10.0, 10.0, allow_nan=False)
@@ -146,8 +156,8 @@ HUGE_STABLE = {
 def test_every_run_exits_0_2_or_3(spec_path, command, payload, fmt, options, override):
     spec_path.write_text(json.dumps(payload))
     argv = [command, "--model", str(spec_path), "--format", fmt]
-    argv += [f"{name}={value}" for name, value in options.items() if value is not None]
-    if override:
+    argv += [f"{name}={value}" for name, value in options.items() if value is not None and name in ACCEPTED[command]]
+    if override and "--override-existence-gate" in ACCEPTED[command]:
         argv.append("--override-existence-gate")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -156,3 +166,27 @@ def test_every_run_exits_0_2_or_3(spec_path, command, payload, fmt, options, ove
     assert "Traceback" not in err.getvalue()
     if rc:
         assert err.getvalue().startswith("error: ")
+
+
+# a valid value for every flag, so that a refusal is about the flag, not its value
+VALID = {"--T": "1", "--omega": "3", "--modes": "3", "--freq-terms": "5", "--samples": "2", "--seed": "0",
+         "--dt": "0.25", "--scheme": "exact_joint", "--override-existence-gate": None}
+UNREAD = [(command, flag) for command in COMMANDS for flag in VALID if flag not in ACCEPTED[command]]
+
+
+def test_flag_table():
+    assert set().union(*ACCEPTED.values()) == {*VALID, "--model", "--format", "--output"}
+    assert sum(map(len, ACCEPTED.values())) == 46
+    assert len(UNREAD) == 38
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_unread_flag_exits_2(spec_path, command, flag):
+    spec_path.write_text(json.dumps({"name": "heat", "modes": 4, "control": {"preset": "heat_neumann_right"}}))
+    argv = [command, "--model", str(spec_path), flag, *([VALID[flag]] if VALID[flag] else [])]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {flag}" in err.getvalue()
+    assert "Traceback" not in err.getvalue()

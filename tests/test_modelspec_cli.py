@@ -165,6 +165,38 @@ class TestCli:
         verdict = results["routes"]["time_domain"] if command == "check" else results["trace"]
         assert verdict["verdict"] == "Converged"
 
+    def test_huge_horizon_simulate_takes_infinite_limits(self, tmp_path, capsys):
+        # the zero mode's variance is about T: its sample covariance overflows to inf
+        path = write_spec(tmp_path, dict(HEAT, modes=16))
+        assert main(["simulate", "--model", path, "--T", "1e308", "--samples", "50"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        ensemble = json.loads(captured.out)["results"]["ensemble"]
+        assert ensemble["variance"][0]["value"] == "infinite"
+        assert ensemble["mean"][0]["provenance"] == "monte_carlo(se=inf)"
+        assert all(math.isfinite(entry["value"]) for entry in ensemble["variance"][1:])
+
+    @pytest.mark.parametrize("command", ["perturb-check", "report"])
+    def test_huge_horizon_perturbed_gramian_is_inconclusive(self, tmp_path, capsys, command):
+        path = write_spec(tmp_path, dict(HEAT_FB, modes=16))
+        assert main([command, "--model", path, "--T", "1e308"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        perturbed = results["perturbed"] if command == "perturb-check" else results["perturbation"]["perturbed"]
+        assert perturbed["verdict"] == "Inconclusive"
+        assert "overflows float64" in perturbed["evidence"]
+
+    def test_report_freq_terms_sets_only_the_check_section(self, tmp_path, capsys):
+        # 600 is past the dyadic range's limit of 511: the dyadic section keeps its default 10
+        path = write_spec(tmp_path, HEAT_FB)
+        assert main(["report", "--model", path, "--freq-terms", "600"]) == 0
+        sections = json.loads(capsys.readouterr().out)["results"]
+        assert len(sections["dyadic"]["terms"]["rows"]) == 21
+        for argv, section in [(["check", "--freq-terms", "600"], "check"), (["dyadic"], "dyadic")]:
+            assert main([*argv, "--model", path]) == 0
+            assert json.loads(capsys.readouterr().out)["results"] == sections[section]
+
     def test_check_transport_diverges_with_witness(self, tmp_path, capsys):
         path = write_spec(tmp_path, TRANSPORT)
         assert main(["check", "--model", path, "--omega", "1", "--T", "1"]) == 0

@@ -118,14 +118,6 @@ class TestSampleExact:
         c = sample_exact(model, ctrl, 1.0, 64, seed=10)
         assert not np.array_equal(a.values, c.values)
 
-    def test_zero_noise_returns_decayed_initial_state(self):
-        model, _ = two_mode()
-        ctrl = Coefficients(np.zeros((2, 1)))
-        x0 = np.array([2.0, -1.0])
-        ens = sample_exact(model, ctrl, 1.0, 8, seed=0, x0=x0)
-        target = np.exp(model.eigenvalues) * x0
-        assert np.allclose(ens.values[:, 0, :], target[None, :])
-
     def test_variance_within_gaussian_band(self):
         model = DiagonalModel.from_eigenvalues([-1.0])
         ctrl = Coefficients(np.array([[1.0]]))
@@ -162,11 +154,10 @@ class TestSampleGrid:
     def test_zero_noise_is_deterministic(self):
         model, _ = two_mode()
         ctrl = Coefficients(np.zeros((2, 1)))
-        x0 = np.array([1.0, 1.0])
-        ens = sample_grid(model, ctrl, 1.0, 0.125, 4, seed=3, x0=x0)
-        for j, t in enumerate(ens.times):
-            target = np.exp(model.eigenvalues * t) * x0
-            assert np.allclose(ens.values[:, j, :], target[None, :], atol=1e-14)
+        for seed in (3, 4):
+            ens = sample_grid(model, ctrl, 1.0, 0.125, 4, seed=seed)
+            assert ens.times == pytest.approx(np.arange(9) * 0.125)
+            assert np.array_equal(ens.values, np.zeros((4, 9, 2)))
 
     def test_heat_trace_close_to_analytic(self):
         heat = build_heat_neumann("right", 64)
@@ -216,17 +207,11 @@ class TestSampleGrid:
         with pytest.raises(PreconditionError):
             sample_grid(model, ctrl, 1.0, 0.5, 4, seed=0, scheme="euler")
 
-    def test_save_times_subset(self):
-        model, ctrl = two_mode()
-        ens = sample_grid(model, ctrl, 1.0, 0.25, 4, seed=0, save_times=[0.5, 1.0])
-        assert ens.times == pytest.approx([0.5, 1.0])
-        assert ens.values.shape == (4, 2, 2)
-
 
 class TestEnsembleStats:
     def test_constant_ensemble_has_zero_covariance(self):
         model, ctrl = two_mode()
-        ens = sample_exact(model, ctrl, 1.0, 5, seed=0, x0=np.array([1.0, 2.0]))
+        ens = sample_exact(model, ctrl, 1.0, 5, seed=0)
         frozen = ens.values.copy()
         frozen[:] = frozen[0]
         from boundarynoise.simulate import PathEnsemble
@@ -304,13 +289,11 @@ def loop_covariance(model, ctrl, T):
     return ctrl.gram * factor
 
 
-def loop_exact(model, ctrl, T, samples, seed, x0=None):
-    root = factor_psd(loop_covariance(model, ctrl, T))
-    drift = np.zeros(model.mode_count) if x0 is None else np.exp(model.eigenvalues * T) * x0
-    return loop_normals(seed, samples, (model.mode_count,)) @ root.T + drift[None, :]
+def loop_exact(model, ctrl, T, samples, seed):
+    return loop_normals(seed, samples, (model.mode_count,)) @ factor_psd(loop_covariance(model, ctrl, T)).T
 
 
-def loop_grid_paths(model, ctrl, T, dt, samples, seed, scheme, x0=None):
+def loop_grid_paths(model, ctrl, T, dt, samples, seed, scheme):
     """Every grid time, shape ``(samples, steps + 1, modes)``: all increments drawn up front."""
     steps, n, lam = int(round(T / dt)), model.mode_count, model.eigenvalues
     decay = np.exp(lam * dt)
@@ -320,7 +303,7 @@ def loop_grid_paths(model, ctrl, T, dt, samples, seed, scheme, x0=None):
         draws *= math.sqrt(dt)
     else:
         increments = loop_normals(seed, samples, (steps, n)) @ factor_psd(loop_covariance(model, ctrl, dt)).T
-    x = np.zeros((samples, n)) if x0 is None else np.tile(x0, (samples, 1))
+    x = np.zeros((samples, n))
     paths = [x]
     for j in range(steps):
         if scheme == "shared_increment":
@@ -335,7 +318,7 @@ def three_channel():
     rng = np.random.default_rng(8)
     lam = -np.sort(rng.uniform(0.1, 30.0, 7))
     lam[2] = 0.0
-    return DiagonalModel.from_eigenvalues(lam), Coefficients(rng.standard_normal((7, 3))), rng.standard_normal(7)
+    return DiagonalModel.from_eigenvalues(lam), Coefficients(rng.standard_normal((7, 3)))
 
 
 class TestStreamKeys:
@@ -375,7 +358,7 @@ class TestSameBitsAsPerSampleLoop:
         assert np.array_equal(_standard_normals(seed, 100, 300, (5, 2)), loop_normals(seed, 300, (5, 2))[100:])
 
     def test_covariance_and_exp_integral(self):
-        model, ctrl, _ = three_channel()
+        model, ctrl = three_channel()
         heat = build_heat_neumann("right", 256)
         for m, c, T in [(model, ctrl, 0.3), (heat.model, heat.control, 1.0)]:
             assert np.array_equal(covariance_qt(m, c, T).matrix, loop_covariance(m, c, T))
@@ -383,9 +366,9 @@ class TestSameBitsAsPerSampleLoop:
         assert np.array_equal(exp_integral(lam, 1.3), loop_exp_integral(lam, 1.3))
 
     def test_sample_exact(self):
-        model, ctrl, x0 = three_channel()
-        assert np.array_equal(sample_exact(model, ctrl, 0.7, 501, 2**64 + 7, x0=x0).values[:, 0, :],
-                              loop_exact(model, ctrl, 0.7, 501, 2**64 + 7, x0=x0))
+        model, ctrl = three_channel()
+        assert np.array_equal(sample_exact(model, ctrl, 0.7, 501, 2**64 + 7).values[:, 0, :],
+                              loop_exact(model, ctrl, 0.7, 501, 2**64 + 7))
         heat = build_heat_neumann("right", 64)
         assert np.array_equal(sample_exact(heat.model, heat.control, 1.0, 2000, 12345).values[:, 0, :],
                               loop_exact(heat.model, heat.control, 1.0, 2000, 12345))
@@ -395,10 +378,7 @@ class TestSameBitsAsPerSampleLoop:
     def test_sample_grid(self, monkeypatch, scheme, block_draws):
         # at 500 draws a block holds 8 (shared) or 3 (exact_joint) of the 333 samples: 333 is no multiple
         monkeypatch.setattr(simulate, "BLOCK_DRAWS", block_draws)
-        model, ctrl, x0 = three_channel()
-        paths = loop_grid_paths(model, ctrl, 1.0, 0.05, 333, 5, scheme, x0=x0)
-        ens = sample_grid(model, ctrl, 1.0, 0.05, 333, 5, scheme=scheme, x0=x0, save_times=[0.0, 0.35, 1.0])
-        assert np.array_equal(ens.values, paths[:, [0, 7, 20], :])
+        model, ctrl = three_channel()
         ens = sample_grid(model, ctrl, 1.0, 0.05, 333, 5, scheme=scheme)
         assert np.array_equal(ens.values, loop_grid_paths(model, ctrl, 1.0, 0.05, 333, 5, scheme))
 

@@ -58,6 +58,7 @@ SPECS = {
     "power-1.5": _power(1.5, 64, "constant", True),
     "power-2.3": _power(2.3, 40, "constant", True),
     "power-0.9": _power(0.9, 32, "constant", False),
+    "zero-tail": _power(2.0, 24, "zero_tail", False),
     "explicit": {
         "name": "explicit", "modes": 4, "noise_dim": 2,
         "spectrum": {"type": "explicit", "values": [-0.5, -1.0, -3.0, -7.5]},
@@ -81,6 +82,10 @@ EXTRA = (
     ("heat-left", "dyadic", ["--freq-terms", "600"]),
     ("heat-left", "check", ["--omega", "1e-170"]),
     ("explicit", "simulate", ["--dt", "0.25", "--seed", "7"]),
+    ("heat-feedback", "report", ["--freq-terms", "600"]),
+    ("heat-feedback", "simulate", ["--T", "1e308"]),
+    ("heat-feedback", "perturb-check", ["--T", "1e308"]),
+    ("heat-feedback", "report", ["--T", "1e308"]),
 )
 
 _TIMING = re.compile(r'\n  "timing": \{\n.*?\n  \}', re.DOTALL)
