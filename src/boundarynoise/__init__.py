@@ -9,7 +9,6 @@ solvability survives rank-one boundary feedback perturbations.
 __version__ = "0.1.0"
 
 from .admissibility import (
-    FrequencyGrid,
     SeriesVerdict,
     Verdict,
     WeissScan,

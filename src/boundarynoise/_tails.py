@@ -147,14 +147,17 @@ def frequency_line_tail(a: np.ndarray, T: float, n_max: int) -> tuple[np.ndarray
 
         2 I(n_max + 1) <= tail <= 2 (f(n_max + 1) + I(n_max + 1))
 
-    Returns ``(lower, width)`` arrays matching ``a``.  A ``T a`` that
-    overflows sends the arctangent to its limit 0 without a warning.
+    Returns ``(lower, width)`` arrays matching ``a``.  Quotients that overflow
+    or divide by an underflowed ``T a`` or square are ``inf`` and take their
+    limits without a warning: the arctangent term reaches 0, and ``f`` is
+    ``inf`` (no bracket is certified from it).
     """
     a = np.asarray(a, dtype=float)
     x = float(n_max + 1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         integral = (T / (2.0 * math.pi * a)) * (math.pi / 2.0 - np.arctan(2.0 * math.pi * x / (T * a)))
-    first = over_squares(1.0, a, 2.0 * math.pi * x / T)
+        # a numpy scalar: the square of a Python float raises OverflowError instead of giving inf
+        first = over_squares(1.0, a, np.float64(2.0 * math.pi * x / T))
     return 2.0 * integral, 2.0 * first
 
 

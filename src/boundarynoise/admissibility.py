@@ -9,12 +9,12 @@ Three interchangeable routes are implemented for diagonal models:
   (:func:`dyadic_diagnostic`), which probe the same quantity from the real axis.
 
 Every series-valued answer is a :class:`SeriesVerdict`: a materialized partial
-sum, a certified remainder bracket, and a verdict.  The remainder beyond the
-materialized modes is certified by one ladder over the declared tail rules,
-:func:`certify_tail`.  Divergence is never inferred from partial-sum growth;
-it requires an analytic witness derived from the declared tail rules (a
-constant lower bound on infinitely many terms, an integral-comparison
-divergence, or a term that is itself infinite).
+sum, a certified remainder bracket, and the verdict read off that bracket.  The
+remainder beyond the materialized modes is certified by one ladder over the
+declared tail rules, :func:`certify_tail`.  Divergence is never inferred from
+partial-sum growth; it requires an analytic witness derived from the declared
+tail rules (a constant lower bound on infinitely many terms, an
+integral-comparison divergence, or a term that is itself infinite).
 
 Per-mode and per-frequency terms are accumulated in a fixed order (ascending
 ``|n|``, then mode index), so results are bitwise deterministic for a given
@@ -67,23 +67,26 @@ class SeriesVerdict:
     ``math.inf`` for a certified divergence and ``None`` when the remainder is
     unknown (Inconclusive).  The certified total therefore lies in
     ``[value, value + tail_bound]`` with ``value = partial_value + tail_value``.
+    The verdict is read off ``tail_bound``.
     """
 
     partial_value: float
     tail_value: float
     tail_bound: float | None
-    verdict: Verdict
     evidence: str
 
     def __post_init__(self):
-        if self.verdict is Verdict.CONVERGED:
-            if self.tail_bound is None or not math.isfinite(self.tail_bound):
-                raise PreconditionError("a Converged verdict requires a finite tail bound")
-        if self.verdict is Verdict.DIVERGED:
-            if not self.evidence:
-                raise PreconditionError("a Diverged verdict requires a witness in evidence")
-        if self.verdict is Verdict.INCONCLUSIVE and self.tail_bound is not None:
-            raise PreconditionError("an Inconclusive verdict carries an unknown tail bound")
+        if self.tail_bound is not None and not self.tail_bound > -math.inf:
+            raise PreconditionError(f"a tail bound is finite, +inf or None, got {self.tail_bound}")
+        if self.tail_bound == UNBOUNDED and not self.evidence:
+            raise PreconditionError("a Diverged verdict requires a witness in evidence")
+
+    @property
+    def verdict(self) -> Verdict:
+        """``None`` is Inconclusive, ``inf`` Diverged, and a finite bound Converged."""
+        if self.tail_bound is None:
+            return Verdict.INCONCLUSIVE
+        return Verdict.DIVERGED if self.tail_bound == UNBOUNDED else Verdict.CONVERGED
 
     @property
     def value(self) -> float:
@@ -110,30 +113,15 @@ def _converged(partial: float, tail_value: float, tail_width: float, evidence: s
     """The one constructor of Converged verdicts: a sum that is not finite in float64 certifies nothing."""
     if not (math.isfinite(partial) and math.isfinite(tail_value) and math.isfinite(tail_width)):
         return _inconclusive(partial, "the sum is not finite in float64")
-    return SeriesVerdict(partial, tail_value, tail_width, Verdict.CONVERGED, evidence)
+    return SeriesVerdict(partial, tail_value, tail_width, evidence)
 
 
 def _diverged(partial: float, evidence: str) -> SeriesVerdict:
-    return SeriesVerdict(partial, 0.0, UNBOUNDED, Verdict.DIVERGED, evidence)
+    return SeriesVerdict(partial, 0.0, UNBOUNDED, evidence)
 
 
 def _inconclusive(partial: float, evidence: str) -> SeriesVerdict:
-    return SeriesVerdict(partial, 0.0, None, Verdict.INCONCLUSIVE, evidence)
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Evaluation points ``omega + 2 pi i n / T`` for ``|n| <= n_max``."""
-
-    omega: float
-    T: float
-    n_max: int
-
-    def __post_init__(self):
-        if self.T <= 0:
-            raise PreconditionError("frequency grid horizon must be positive")
-        if self.n_max < 1:
-            raise PreconditionError("frequency grid needs n_max >= 1")
+    return SeriesVerdict(partial, 0.0, None, evidence)
 
 
 def _require_diagonal(model) -> DiagonalModel:
@@ -250,17 +238,22 @@ def gamma_infinite(model: DiagonalModel, coeffs: Coefficients) -> SeriesVerdict:
     )
 
 
-def frequency_series(model: DiagonalModel, coeffs: Coefficients, grid: FrequencyGrid) -> SeriesVerdict:
+def frequency_series(model: DiagonalModel, coeffs: Coefficients, omega: float, T: float,
+                     n_max: int) -> SeriesVerdict:
     """Frequency-domain criterion: ``sum_n sum_m w_m / ((omega - lambda_m)^2 + (2 pi n / T)^2)``.
 
-    Sums the grid terms for ``|n| <= n_max`` (ascending ``|n|``), certifies the
-    ``n``-remainder by the arctangent integral comparison per materialized mode,
-    and the mode remainder from the tail rules (each non-materialized mode
-    contributes its full frequency line, see :func:`.line_sum_exact`).
+    Sums the grid terms at ``omega + 2 pi i n / T`` for ``|n| <= n_max``
+    (ascending ``|n|``), certifies the ``n``-remainder by the arctangent
+    integral comparison per materialized mode, and the mode remainder from the
+    tail rules (each non-materialized mode contributes its full frequency line,
+    see :func:`.line_sum_exact`).
     """
+    if T <= 0:
+        raise PreconditionError("frequency grid horizon must be positive")
+    if n_max < 1:
+        raise PreconditionError("frequency grid needs n_max >= 1")
     model = _require_diagonal(model)
     _require_paired(model, coeffs)
-    omega, T, n_max = grid.omega, grid.T, grid.n_max
     g = growth_bound(model)
     if omega <= g:
         raise PreconditionError(f"omega={omega:g} must exceed the growth bound {g:g}")
@@ -273,23 +266,36 @@ def frequency_series(model: DiagonalModel, coeffs: Coefficients, grid: Frequency
             np.array([omega + tail.c * float(tail.next_index) ** tail.p]), T)[0]),
         lambda tail, w_tail, target: frequency_mode_tail(
             tail.c, tail.p, omega, w_tail, T, tail.next_index, abs_target=target),
-        known=(float(np.sum(w * line_lower)), float(np.sum(w * line_width))),
+        known=(float(np.sum(_weighted(w, line_lower))), float(np.sum(_weighted(w, line_width)))),
         note="; frequency remainder by arctan integral comparison",
     )
 
 
-def _over_square(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``w / a**2`` termwise, without warnings: a zero weight adds exactly 0, and a
-    positive weight over a square that underflows to 0 is ``inf`` (which
-    :func:`_converged` refuses to certify); see :func:`over_squares` for overflow."""
+def _weighted(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``w * terms`` termwise, where a zero weight adds exactly 0 even against an infinite term."""
+    with np.errstate(invalid="ignore"):
+        return np.where(w == 0.0, 0.0, w * terms)
+
+
+def _over_square(w: np.ndarray, a: np.ndarray, b=None) -> np.ndarray:
+    """``w / (a**2 + b**2)`` termwise, ``w`` along the last axis, without warnings: a
+    zero weight adds exactly 0, and a positive weight over a square that underflows
+    to 0 is ``inf`` (which :func:`_converged` refuses to certify); see
+    :func:`over_squares` for overflow."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(w == 0.0, 0.0, over_squares(w, a))
+        terms = over_squares(w, a, b)
+    terms[..., w == 0.0] = 0.0  # in place: no second frequency-grid table
+    return terms
 
 
 def _frequency_partial(w: np.ndarray, a: np.ndarray, T: float, n_max: int) -> float:
-    """Frequency-grid partial sum ``sum_{|n| <= n_max} sum_m w_m / (a_m^2 + (2 pi n / T)^2)``."""
-    kappa = 2.0 * math.pi * np.arange(1, n_max + 1) / T
-    per_n = np.sum(over_squares(w[None, :], a[None, :], kappa[:, None]), axis=1)
+    """Frequency-grid partial sum ``sum_{|n| <= n_max} sum_m w_m / (a_m^2 + (2 pi n / T)^2)``.
+
+    A frequency ``2 pi n / T`` that overflows is ``inf``; its terms take the limit 0.
+    """
+    with np.errstate(over="ignore"):
+        kappa = 2.0 * math.pi * np.arange(1, n_max + 1) / T
+    per_n = np.sum(_over_square(w, a[None, :], kappa[:, None]), axis=1)
     return float(np.sum(_over_square(w, a))) + float(np.sum(2.0 * per_n))
 
 

@@ -29,7 +29,6 @@ import time
 import numpy as np
 
 from .admissibility import (
-    FrequencyGrid,
     dyadic_diagnostic,
     dyadic_terms,
     frequency_series,
@@ -60,7 +59,7 @@ from .spectral import growth_bound
 def _default_omega(bundle: ModelBundle, requested: float | None) -> float:
     if requested is not None:
         return requested
-    if bundle.kind == "transport":
+    if bundle.transport is not None:
         return 1.0
     return growth_bound(bundle.model) + 1.0
 
@@ -78,20 +77,19 @@ def cmd_check(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | Non
     omega = _default_omega(bundle, args.omega)
     n_max = args.freq_terms if args.freq_terms is not None else 256
     routes = {}
-    if bundle.kind == "transport":
+    if bundle.transport is not None:
         routes["dirichlet_frequency"] = dirichlet_frequency_criterion(bundle.transport, omega, T, n_max)
     else:
         require_table_budget("--freq-terms", n_max, bundle.model.mode_count, "frequency table")
         routes["time_domain"] = gamma_time(bundle.model, bundle.control, T)
-        grid = FrequencyGrid(omega, T, n_max)
-        routes["dual_frequency"] = frequency_series(bundle.model, bundle.control, grid)
+        routes["dual_frequency"] = frequency_series(bundle.model, bundle.control, omega, T, n_max)
         # the stationary solution map factors through the resolvent: on a diagonal model
         # its frequency series is the dual one, so the route is reported as that alias
         routes["dirichlet_frequency"] = routes["dual_frequency"]
     verdicts = {v.verdict.value for v in routes.values()}
     overall = verdicts.pop() if len(verdicts) == 1 else "Mixed"
     payloads = {name: verdict_payload(v) for name, v in routes.items()}
-    if bundle.kind != "transport":
+    if bundle.transport is None:
         payloads["dirichlet_frequency"]["same_as"] = "dual_frequency"
     results = {
         "horizon": num(T, "closed_form"),
@@ -105,7 +103,7 @@ def cmd_check(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | Non
 
 
 def cmd_covariance(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
-    if bundle.kind != "diagonal":
+    if bundle.model is None:
         raise PreconditionError("covariance requires a spectral (diagonal) model")
     cov = covariance_qt(bundle.model, bundle.control, args.T)
     header, rows = ["n", "m", "value"], covariance_rows(cov.matrix)
@@ -123,14 +121,14 @@ def cmd_covariance(args, bundle: ModelBundle) -> tuple[dict, list | None, Table 
 def cmd_simulate(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
     if args.seed < 0:  # a SeedSequence entropy is a non-negative integer
         raise argparse.ArgumentTypeError(f"--seed must be a non-negative integer, got {args.seed}")
-    if bundle.kind == "transport":
+    if bundle.transport is not None:
         n_max = args.freq_terms if args.freq_terms is not None else 256
         omega = _default_omega(bundle, args.omega)
         verdict = dirichlet_frequency_criterion(bundle.transport, omega, args.T, n_max)
     else:
         verdict = gamma_time(bundle.model, bundle.control, args.T)
     require_existence(verdict, override=args.override_existence_gate)
-    if bundle.kind != "diagonal":
+    if bundle.model is None:
         raise PreconditionError(
             "the transport model has no spectral representation to simulate; "
             "the override applies to diagonal models only"
@@ -167,7 +165,7 @@ _VAN_LOAN_WORKSPACE = 11
 
 
 def cmd_perturb_check(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
-    if bundle.kind != "diagonal":
+    if bundle.model is None:
         raise PreconditionError("perturbation checks need a spectral (diagonal) model")
     if bundle.perturbation is None:
         raise SpecValidationError([("perturbation", "required for perturb-check")])
@@ -185,7 +183,7 @@ def cmd_perturb_check(args, bundle: ModelBundle) -> tuple[dict, list | None, Tab
 
 
 def cmd_scan_weiss(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
-    if bundle.kind != "diagonal":
+    if bundle.model is None:
         raise PreconditionError("the resolvent scan needs a spectral (diagonal) model")
     omega = args.omega if args.omega is not None else growth_bound(bundle.model) + 0.1
     obs = bundle.observation if bundle.observation is not None else bundle.control
@@ -209,7 +207,7 @@ _MAX_DYADIC_RANGE = (sys.float_info.max_exp - 1) // 2
 
 
 def cmd_dyadic(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
-    if bundle.kind != "diagonal":
+    if bundle.model is None:
         raise PreconditionError("the dyadic diagnostic needs a spectral (diagonal) model")
     n_range = args.freq_terms if args.freq_terms is not None else 10
     if n_range > _MAX_DYADIC_RANGE:
@@ -231,7 +229,7 @@ def cmd_dyadic(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | No
 
 def cmd_report(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
     sections = {"check": cmd_check(args, bundle)[0]}
-    if bundle.kind == "diagonal":
+    if bundle.model is not None:
         sections["covariance"] = cmd_covariance(args, bundle)[0]
         # --freq-terms sets the check section's grid; the dyadic section keeps its default range
         sections["dyadic"] = cmd_dyadic(argparse.Namespace(freq_terms=None), bundle)[0]

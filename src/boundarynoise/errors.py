@@ -17,8 +17,6 @@ class SingularResolventError(PreconditionError):
     """The requested resolvent point hits an eigenvalue."""
 
     def __init__(self, point, mode: int):
-        self.point = point
-        self.mode = mode
         super().__init__(f"resolvent is singular at lambda={point!r}: hits eigenvalue of mode {mode}")
 
 
@@ -27,16 +25,7 @@ class UnsupportedRepresentationError(PreconditionError):
 
 
 class FactorizationError(BoundaryNoiseError):
-    """A covariance matrix is not finite, or not PSD within the tolerance.
-
-    ``eigenvalue`` and ``tolerance`` name the offending eigenvalue; both are
-    NaN for a matrix that is not finite.
-    """
-
-    def __init__(self, message: str, eigenvalue: float = float("nan"), tolerance: float = float("nan")):
-        self.eigenvalue = eigenvalue
-        self.tolerance = tolerance
-        super().__init__(message)
+    """A covariance matrix is not finite, or not PSD within the tolerance (the message names the eigenvalue)."""
 
 
 class ExistenceGateError(BoundaryNoiseError):

@@ -96,11 +96,11 @@ def _heat_singular_mode(lam: complex) -> int | None:
     return None
 
 
-def heat_dirichlet_closed_form(lam: complex, xi: float, side: Side = "right", alpha: float = 1.0) -> complex:
+def heat_dirichlet_closed_form(lam: complex, xi: float, side: Side = "right") -> complex:
     """Solution of ``lam phi = phi''`` with unit flux at the noisy endpoint, at ``xi``.
 
-    Right side: ``phi'(0) = 0``, ``phi'(pi) = alpha`` gives
-    ``phi(xi) = alpha cosh(sqrt(lam) xi) / (sqrt(lam) sinh(sqrt(lam) pi))``;
+    Right side: ``phi'(0) = 0``, ``phi'(pi) = 1`` gives
+    ``phi(xi) = cosh(sqrt(lam) xi) / (sqrt(lam) sinh(sqrt(lam) pi))``;
     the left side is the mirror image ``xi -> pi - xi`` with opposite sign.
     Evaluated through decaying exponentials, so large ``|sqrt(lam)|`` is safe.
     """
@@ -120,7 +120,7 @@ def heat_dirichlet_closed_form(lam: complex, xi: float, side: Side = "right", al
     # cosh(a xi)/sinh(a pi) = (e^{a(xi-pi)} + e^{-a(xi+pi)}) / (1 - e^{-2 a pi})
     num = cmath.exp(a * (xi - math.pi)) + cmath.exp(-a * (xi + math.pi))
     den = 1.0 - cmath.exp(-2.0 * a * math.pi)
-    return sign * alpha * num / (a * den)
+    return sign * num / (a * den)
 
 
 def heat_dirichlet_hs_norm_quadrature(lam: complex, side: Side = "right") -> float:

@@ -59,35 +59,24 @@ _TOP_FIELDS = {"name", "spectrum", "modes", "noise_dim", "control", "perturbatio
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Validated, normalized content of a model-spec file."""
+    """Validated content of a model-spec file: the normalized JSON object its hash and bundle read.
 
-    name: str
-    spectrum: dict | None
-    modes: int | None
-    noise_dim: Any
-    control: dict
-    perturbation: dict | None
-    observation: dict | None
+    Defaults are filled in (``noise_dim`` 1, a power spectrum's
+    ``include_zero_mode``) and absent optional blocks are left out.
+    """
+
+    data: dict
+
+    @property
+    def name(self) -> str:
+        return self.data["name"]
 
     def to_dict(self) -> dict:
-        out: dict[str, Any] = {"name": self.name}
-        if self.spectrum is not None:
-            out["spectrum"] = self.spectrum
-        if self.modes is not None:
-            out["modes"] = self.modes
-        out["noise_dim"] = self.noise_dim
-        out["control"] = self.control
-        if self.perturbation is not None:
-            out["perturbation"] = self.perturbation
-        if self.observation is not None:
-            out["observation"] = self.observation
-        return out
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return self.data
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _is_number(x) -> bool:
@@ -175,15 +164,9 @@ def parse_model_dict(data: Any) -> ModelSpec:
 
     if problems:
         raise SpecValidationError(problems)
-    return ModelSpec(
-        name=name,
-        spectrum=spectrum,
-        modes=modes,
-        noise_dim=noise_dim,
-        control=control,
-        perturbation=perturbation,
-        observation=observation,
-    )
+    spec = {"name": name, "spectrum": spectrum, "modes": modes, "noise_dim": noise_dim, "control": control,
+            "perturbation": perturbation, "observation": observation}
+    return ModelSpec({key: value for key, value in spec.items() if value is not None})
 
 
 def _validate_spectrum(spectrum, problems):
@@ -337,10 +320,9 @@ def parse_model(path) -> ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
-    """A runnable model: either a diagonal pair or the transport closed forms."""
+    """A runnable model: either a diagonal pair (``model``) or the transport closed forms (``transport``)."""
 
     spec: ModelSpec
-    kind: str  # "diagonal" | "transport"
     model: DiagonalModel | None = None
     control: Coefficients | None = None
     transport: TransportModel | None = None
@@ -360,27 +342,25 @@ def require_table_budget(source: str, value: int, modes: int, table: str) -> Non
 
 def build_bundle(spec: ModelSpec, modes_override: int | None = None) -> ModelBundle:
     """Materialize the spec.  ``modes_override`` re-truncates preset or power models."""
-    control = spec.control
+    data = spec.data
+    control = data["control"]
     if control.get("preset") == "transport":
         if modes_override is not None:
             raise PreconditionError("transport carries no mode truncation to override")
-        transport = build_transport(control["r"], spec.noise_dim)
-        return ModelBundle(spec=spec, kind="transport", transport=transport)
+        return ModelBundle(spec=spec, transport=build_transport(control["r"], data["noise_dim"]))
 
-    modes = modes_override if modes_override is not None else spec.modes
+    modes = modes_override if modes_override is not None else data["modes"]
     require_table_budget("--modes" if modes_override is not None else "modes", modes, modes, "mode table")
     if control.get("preset") in HEAT_PRESETS:
         side = "left" if control["preset"].endswith("left") else "right"
         heat = build_heat_neumann(side, modes)
-        pert = _build_perturbation(spec, modes)
-        obs = _build_observation(spec, modes)
         return ModelBundle(
-            spec=spec, kind="diagonal", model=heat.model, control=heat.control,
-            observation=obs, perturbation=pert,
+            spec=spec, model=heat.model, control=heat.control,
+            perturbation=_build_perturbation(data, modes), observation=_build_observation(data, modes),
         )
 
     # explicit control
-    spectrum = spec.spectrum
+    spectrum = data["spectrum"]
     if modes_override is not None:
         # the beta table is materialized at the spec's truncation; extending it
         # would need tail-rule synthesis, re-truncating would silently drop rows
@@ -394,15 +374,14 @@ def build_bundle(spec: ModelSpec, modes_override: int | None = None) -> ModelBun
         )
     tail = TailRule.parse(control["tail_rule"]) if "tail_rule" in control else None
     ctrl = Coefficients(np.asarray(control["beta"], dtype=float), tail=tail)
-    pert = _build_perturbation(spec, modes)
-    obs = _build_observation(spec, modes)
     return ModelBundle(
-        spec=spec, kind="diagonal", model=model, control=ctrl, observation=obs, perturbation=pert,
+        spec=spec, model=model, control=ctrl,
+        perturbation=_build_perturbation(data, modes), observation=_build_observation(data, modes),
     )
 
 
-def _build_perturbation(spec: ModelSpec, modes: int) -> RankOnePerturbation | None:
-    pert = spec.perturbation
+def _build_perturbation(data: dict, modes: int) -> RankOnePerturbation | None:
+    pert = data.get("perturbation")
     if pert is None:
         return None
     b = pert["b"]
@@ -423,8 +402,8 @@ def _build_perturbation(spec: ModelSpec, modes: int) -> RankOnePerturbation | No
     return RankOnePerturbation(b=b, m=m)
 
 
-def _build_observation(spec: ModelSpec, modes: int) -> Coefficients | None:
-    obs = spec.observation
+def _build_observation(data: dict, modes: int) -> Coefficients | None:
+    obs = data.get("observation")
     if obs is None:
         return None
     gamma = np.asarray(obs["gamma"], dtype=float)

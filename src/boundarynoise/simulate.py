@@ -32,6 +32,8 @@ PSD_TOLERANCE = 1e-10
 MAX_SAVED_TIMES = 33
 #: Standard normals a grid ensemble draws at once (8 MiB); it steps its samples in blocks of this many draws.
 BLOCK_DRAWS = 2**20
+_DRAW_BUDGET_REFUSAL = ("requested ensemble needs more than 2^28 standard normal increments; "
+                        "reduce samples or coarsen dt")
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx); all arithmetic is mod 2^32
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -52,7 +54,6 @@ class CovarianceMatrix:
     """
 
     matrix: np.ndarray
-    horizon: float
     trace_verdict: SeriesVerdict
 
     @property
@@ -72,7 +73,7 @@ def covariance_qt(model: DiagonalModel, ctrl: Coefficients, T: float) -> Covaria
     lam = model.eigenvalues
     matrix = ctrl.gram  # a fresh array, scaled in place
     matrix *= expm1_over(lam[:, None] + lam[None, :], T)
-    return CovarianceMatrix(matrix=matrix, horizon=float(T), trace_verdict=gamma_time(model, ctrl, T))
+    return CovarianceMatrix(matrix=matrix, trace_verdict=gamma_time(model, ctrl, T))
 
 
 def factor_psd(matrix: np.ndarray) -> np.ndarray:
@@ -87,8 +88,7 @@ def factor_psd(matrix: np.ndarray) -> np.ndarray:
     floor = -PSD_TOLERANCE * max(float(np.trace(matrix)), 0.0)
     if eigvals[0] < floor:
         raise FactorizationError(
-            f"covariance factorization failed: eigenvalue {eigvals[0]:.6g} below tolerance {floor:.6g}",
-            float(eigvals[0]), -floor,
+            f"covariance factorization failed: eigenvalue {eigvals[0]:.6g} below tolerance {floor:.6g}"
         )
     clipped = np.clip(eigvals, 0.0, None)
     return eigvecs * np.sqrt(clipped)[None, :]
@@ -165,7 +165,6 @@ class PathEnsemble:
 
     times: np.ndarray
     values: np.ndarray
-    seed: int
     scheme: str
 
     @property
@@ -192,12 +191,7 @@ def sample_exact(
     # z stays bound until the product: freed earlier, its pages are faulted in again on every call
     z = _standard_normals(seed, 0, samples, (model.mode_count,))
     values = z @ root.T
-    return PathEnsemble(
-        times=np.array([float(T)]),
-        values=values[:, None, :],
-        seed=int(seed),
-        scheme="exact",
-    )
+    return PathEnsemble(times=np.array([float(T)]), values=values[:, None, :], scheme="exact")
 
 
 def sample_grid(
@@ -230,6 +224,8 @@ def sample_grid(
     if dt > T:
         raise PreconditionError("dt must not exceed the horizon")
     steps_f = T / dt
+    if math.isinf(steps_f):  # more steps than any float, let alone the draw budget
+        raise PreconditionError(_DRAW_BUDGET_REFUSAL)
     steps = int(round(steps_f))
     if abs(steps - steps_f) > 1e-9 * max(steps_f, 1.0):
         raise PreconditionError(f"dt={dt} does not divide the horizon T={T}")
@@ -244,12 +240,10 @@ def sample_grid(
     width = ctrl.channel_count if shared else n
     # refused before any array is sized by the step count
     if samples * steps * width > 2**28:
-        raise PreconditionError(
-            "requested ensemble needs more than 2^28 standard normal increments; "
-            "reduce samples or coarsen dt"
-        )
+        raise PreconditionError(_DRAW_BUDGET_REFUSAL)
     lam = model.eigenvalues
-    decay = np.exp(lam * dt)
+    with np.errstate(over="ignore"):  # a lambda dt that overflows is -inf, whose exp is the limit 0
+        decay = np.exp(lam * dt)
     keep = np.unique(np.round(np.linspace(0, steps, MAX_SAVED_TIMES)).astype(int))  # every step up to 32 steps
     keep_set = {int(k): j for j, k in enumerate(keep)}
 
@@ -284,7 +278,7 @@ def sample_grid(
                 x += draws[:, j, :]
             if (j + 1) in keep_set:
                 out[s0:s1, keep_set[j + 1], :] = x
-    return PathEnsemble(times=keep * dt, values=out, seed=int(seed), scheme=scheme)
+    return PathEnsemble(times=keep * dt, values=out, scheme=scheme)
 
 
 @dataclass(frozen=True, eq=False)

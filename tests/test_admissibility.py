@@ -7,7 +7,6 @@ from scipy import integrate
 from boundarynoise import (
     Coefficients,
     DiagonalModel,
-    FrequencyGrid,
     PreconditionError,
     SeriesVerdict,
     SingularResolventError,
@@ -168,7 +167,7 @@ class TestGammaInfinite:
 class TestFrequencySeries:
     def test_two_mode_encloses_line_sum_oracle(self):
         model, ctrl = finite_model([-1.0, -2.0], [1.0, 1.0])
-        out = frequency_series(model, ctrl, FrequencyGrid(0.0, 1.0, 400))
+        out = frequency_series(model, ctrl, 0.0, 1.0, 400)
         # independent oracle: per-mode line sums (T/(2a)) coth(aT/2)
         oracle = sum(0.5 / a / math.tanh(a / 2.0) for a in (1.0, 2.0))
         assert out.verdict is Verdict.CONVERGED
@@ -176,23 +175,23 @@ class TestFrequencySeries:
 
     def test_partial_matches_brute_force(self):
         model, ctrl = finite_model([-1.0, -2.0], [1.0, 1.0])
-        out = frequency_series(model, ctrl, FrequencyGrid(0.5, 2.0, 100))
+        out = frequency_series(model, ctrl, 0.5, 2.0, 100)
         brute = brute_frequency_sum([1.0, 1.0], [-1.0, -2.0], 0.5, 2.0, 100)
         assert out.partial_value == pytest.approx(brute, rel=1e-13)
 
     def test_zero_coefficients(self):
         model = DiagonalModel.from_eigenvalues([-1.0])
-        out = frequency_series(model, Coefficients(np.zeros((1, 1))), FrequencyGrid(0.0, 1.0, 8))
+        out = frequency_series(model, Coefficients(np.zeros((1, 1))), 0.0, 1.0, 8)
         assert out.verdict is Verdict.CONVERGED and out.value == 0.0
 
     def test_rejects_omega_at_growth_bound(self):
         heat = build_heat_neumann("right", 8)
         with pytest.raises(PreconditionError):
-            frequency_series(heat.model, heat.control, FrequencyGrid(0.0, 1.0, 8))
+            frequency_series(heat.model, heat.control, 0.0, 1.0, 8)
 
     def test_heat_converges(self):
         heat = build_heat_neumann("right", 64)
-        out = frequency_series(heat.model, heat.control, FrequencyGrid(1.0, 1.0, 128))
+        out = frequency_series(heat.model, heat.control, 1.0, 1.0, 128)
         assert out.verdict is Verdict.CONVERGED
 
     def test_verdict_equivalence_on_random_finite_models(self):
@@ -203,15 +202,14 @@ class TestFrequencySeries:
             omega = float(max(lam)) + rng.uniform(0.1, 2.0)
             t = rng.uniform(0.2, 3.0)
             a = gamma_time(model, ctrl, t).verdict
-            b = frequency_series(model, ctrl, FrequencyGrid(omega, t, 64)).verdict
+            b = frequency_series(model, ctrl, omega, t, 64).verdict
             assert a is Verdict.CONVERGED and b is Verdict.CONVERGED
 
     def test_verdict_equivalence_on_divergent_tails(self):
         model = DiagonalModel.from_power(1.0, 1.0, 8, include_zero_mode=False)
         ctrl = Coefficients(np.ones((8, 1)), tail=TailRule("constant", 1.0))
         assert gamma_time(model, ctrl, 1.0).verdict is Verdict.DIVERGED
-        grid = FrequencyGrid(1.0, 1.0, 32)
-        assert frequency_series(model, ctrl, grid).verdict is Verdict.DIVERGED
+        assert frequency_series(model, ctrl, 1.0, 1.0, 32).verdict is Verdict.DIVERGED
 
 
 class TestParseval:
@@ -357,17 +355,19 @@ class TestDuality:
 
 class TestSeriesVerdictInvariants:
     def test_converged_requires_finite_tail(self):
+        # the verdict is read off the bound: a finite one is Converged, and NaN or -inf is refused
+        assert SeriesVerdict(1.0, 0.0, 0.5, "x").verdict is Verdict.CONVERGED
         with pytest.raises(PreconditionError):
-            SeriesVerdict(1.0, 0.0, math.inf, Verdict.CONVERGED, "x")
+            SeriesVerdict(1.0, 0.0, math.nan, "x")
         with pytest.raises(PreconditionError):
-            SeriesVerdict(1.0, 0.0, None, Verdict.CONVERGED, "x")
+            SeriesVerdict(1.0, 0.0, -math.inf, "x")
 
     def test_diverged_requires_witness(self):
+        assert SeriesVerdict(1.0, 0.0, math.inf, "x").verdict is Verdict.DIVERGED
         with pytest.raises(PreconditionError):
-            SeriesVerdict(1.0, 0.0, math.inf, Verdict.DIVERGED, "")
+            SeriesVerdict(1.0, 0.0, math.inf, "")
 
     def test_inconclusive_has_unknown_tail(self):
-        with pytest.raises(PreconditionError):
-            SeriesVerdict(1.0, 0.0, 1.0, Verdict.INCONCLUSIVE, "x")
-        v = SeriesVerdict(1.0, 0.0, None, Verdict.INCONCLUSIVE, "x")
+        v = SeriesVerdict(1.0, 0.0, None, "x")
+        assert v.verdict is Verdict.INCONCLUSIVE
         assert v.relative_tail == math.inf

@@ -103,14 +103,16 @@ def flag(*values):
     return st.one_of(st.none(), st.none(), st.sampled_from(values))
 
 
+# horizons, steps and abscissae reach the float range's ends, where frequencies and step counts overflow;
+# a horizon of 1e308 only in examples on stable specs, since a positive eigenvalue overflows there for real
 flags = st.fixed_dictionaries({
-    "--T": flag("1", "0.5", "2", "0"),
-    "--omega": flag("3", "60", "-1"),
+    "--T": flag("1", "0.5", "2", "1e-160", "1e-300", "1e-320", "5e-324", "0"),
+    "--omega": flag("3", "60", "1e300", "1e-300", "-1"),
     "--modes": flag("1", "3", "5", "-2"),
     "--freq-terms": flag("1", "5", "12", "0"),
     "--samples": flag("2", "5", "1"),
     "--seed": flag("0", "3", "12345", "-1"),
-    "--dt": flag("0.25", "0.5", "0.3"),
+    "--dt": flag("0.25", "0.5", "1e-320", "1e307", "0.3"),
     "--scheme": flag("shared_increment", "exact_joint"),
 })
 
@@ -141,6 +143,12 @@ HUGE_STABLE = {
 }
 
 
+HEAT_FEEDBACK = {
+    "name": "heat-feedback", "modes": 4, "control": {"preset": "heat_neumann_right"},
+    "perturbation": {"type": "rank_one", "b": "heat_neumann_right", "m": "constant_one"},
+}
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @settings(derandomize=True, max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -153,6 +161,10 @@ HUGE_STABLE = {
          options={"--omega": "1e-170"}, override=False)
 @example(payload={"name": "heat", "modes": 4, "control": {"preset": "heat_neumann_right"}}, fmt="json",
          options={"--dt": "1e-300"}, override=False)
+@example(payload=HEAT_FEEDBACK, fmt="json", options={"--T": "1e308", "--omega": "1e-300"}, override=False)
+@example(payload=HEAT_FEEDBACK, fmt="csv", options={"--T": "1e308", "--dt": "1e307"}, override=False)
+@example(payload=HUGE_STABLE, fmt="json", options={"--T": "1e308"}, override=False)
+@example(payload=TINY_ZERO_WEIGHT, fmt="json", options={"--T": "1e308", "--omega": "1e-300"}, override=False)
 def test_every_run_exits_0_2_or_3(spec_path, command, payload, fmt, options, override):
     spec_path.write_text(json.dumps(payload))
     argv = [command, "--model", str(spec_path), "--format", fmt]

@@ -85,10 +85,12 @@ class TestHeatDirichletClosedForm:
         out = heat_dirichlet_closed_form(1.0, math.pi)
         assert out.real == pytest.approx(1.0 / math.tanh(math.pi), rel=1e-12)
 
-    def test_linear_in_flux(self):
-        base = heat_dirichlet_closed_form(2.0, 1.0)
-        assert heat_dirichlet_closed_form(2.0, 1.0, alpha=0.0) == 0.0
-        assert heat_dirichlet_closed_form(2.0, 1.0, alpha=-3.0) == pytest.approx(-3.0 * base)
+    def test_right_side_unit_flux(self):
+        # phi'(pi) = 1 for the right problem: check by a small difference quotient
+        lam = 2.0
+        h = 1e-6
+        d = (heat_dirichlet_closed_form(lam, math.pi) - heat_dirichlet_closed_form(lam, math.pi - h)) / h
+        assert d.real == pytest.approx(1.0, rel=1e-4)
 
     def test_singular_at_spectrum(self):
         with pytest.raises(SingularResolventError):

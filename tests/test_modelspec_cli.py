@@ -54,7 +54,7 @@ class TestParsing:
     def test_heat_preset_builds_expected_coefficients(self, tmp_path):
         spec = parse_model(write_spec(tmp_path, HEAT))
         bundle = build_bundle(spec)
-        assert bundle.kind == "diagonal"
+        assert bundle.transport is None
         beta = bundle.control.array[:, 0]
         assert beta[0] == pytest.approx(1 / math.sqrt(math.pi))
         assert beta[1] == pytest.approx(-math.sqrt(2 / math.pi))
@@ -186,6 +186,37 @@ class TestCli:
         perturbed = results["perturbed"] if command == "perturb-check" else results["perturbation"]["perturbed"]
         assert perturbed["verdict"] == "Inconclusive"
         assert "overflows float64" in perturbed["evidence"]
+
+    def test_tiny_horizon_check_takes_the_frequency_limits(self, tmp_path, capsys):
+        # 2 pi n / T is about 1e163: its square overflows to inf, whose quotient is the limit 0
+        path = write_spec(tmp_path, dict(HEAT, modes=16))
+        assert main(["check", "--model", path, "--T", "1e-160"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["results"]["overall"] == "Converged"
+
+    def test_subnormal_step_is_refused_by_the_draw_budget(self, tmp_path, capsys):
+        # T / dt overflows to inf: more steps than the 2^28 draws any ensemble may take
+        path = write_spec(tmp_path, dict(HEAT, modes=16))
+        assert main(["simulate", "--model", path, "--dt", "1e-320"]) == 3
+        assert "more than 2^28 standard normal increments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, frequency_verdict", [
+        (["check", "--T", "1e-320"], "Converged"),
+        # the zero mode's term 1 / (pi omega^2) overflows
+        (["check", "--T", "1e308", "--omega", "1e-300"], "Inconclusive"),
+        (["check", "--T", "1e-320", "--omega", "1e-300"], "Inconclusive"),
+        (["simulate", "--T", "1e308", "--dt", "1e307", "--samples", "3"], None),
+    ], ids=["check-T-1e-320", "check-T-1e308-omega-1e-300", "check-T-1e-320-omega-1e-300", "simulate-T-1e308-dt-1e307"])
+    def test_extreme_horizon_prints_no_warnings(self, tmp_path, capsys, argv, frequency_verdict):
+        path = write_spec(tmp_path, dict(HEAT, modes=16))
+        assert main([argv[0], "--model", path, *argv[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if frequency_verdict is not None:
+            routes = json.loads(captured.out)["results"]["routes"]
+            assert routes["time_domain"]["verdict"] == "Converged"
+            assert routes["dual_frequency"]["verdict"] == frequency_verdict
 
     def test_report_freq_terms_sets_only_the_check_section(self, tmp_path, capsys):
         # 600 is past the dyadic range's limit of 511: the dyadic section keeps its default 10

@@ -93,7 +93,7 @@ class TestCovariance:
 def test_factor_psd_rejects_indefinite_matrix():
     with pytest.raises(FactorizationError) as err:
         factor_psd(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    assert err.value.eigenvalue == pytest.approx(-1.0)
+    assert "eigenvalue -1 below tolerance" in str(err.value)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -216,7 +216,7 @@ class TestEnsembleStats:
         frozen[:] = frozen[0]
         from boundarynoise.simulate import PathEnsemble
 
-        const = PathEnsemble(times=ens.times, values=frozen, seed=0, scheme="exact")
+        const = PathEnsemble(times=ens.times, values=frozen, scheme="exact")
         stats = ensemble_stats(const)
         assert np.allclose(stats.covariance, 0.0)
 
@@ -225,7 +225,7 @@ class TestEnsembleStats:
 
         x = np.array([0.3, -1.2])
         values = np.stack([x, -x])[:, None, :]
-        ens = PathEnsemble(times=np.array([1.0]), values=values, seed=0, scheme="exact")
+        ens = PathEnsemble(times=np.array([1.0]), values=values, scheme="exact")
         stats = ensemble_stats(ens)
         assert np.allclose(stats.covariance, 2.0 * np.outer(x, x))
 

@@ -86,6 +86,11 @@ EXTRA = (
     ("heat-feedback", "simulate", ["--T", "1e308"]),
     ("heat-feedback", "perturb-check", ["--T", "1e308"]),
     ("heat-feedback", "report", ["--T", "1e308"]),
+    ("heat-left", "check", ["--T", "1e-160"]),
+    ("heat-left", "check", ["--T", "1e-320"]),
+    ("heat-left", "check", ["--T", "1e308", "--omega", "1e-300"]),
+    ("heat-left", "simulate", ["--dt", "1e-320"]),
+    ("heat-feedback", "simulate", ["--T", "1e308", "--dt", "1e307"]),
 )
 
 _TIMING = re.compile(r'\n  "timing": \{\n.*?\n  \}', re.DOTALL)
