@@ -32,6 +32,8 @@ PSD_TOLERANCE = 1e-10
 MAX_SAVED_TIMES = 33
 #: Standard normals a grid ensemble draws at once (8 MiB); it steps its samples in blocks of this many draws.
 BLOCK_DRAWS = 2**20
+# entries of one row block of the covariance's scale factor (512 KiB)
+_COVARIANCE_BLOCK = 2**16
 _DRAW_BUDGET_REFUSAL = ("requested ensemble needs more than 2^28 standard normal increments; "
                         "reduce samples or coarsen dt")
 
@@ -71,8 +73,10 @@ def covariance_qt(model: DiagonalModel, ctrl: Coefficients, T: float) -> Covaria
         raise PreconditionError("horizon must be positive")
     _require_paired(model, ctrl)
     lam = model.eigenvalues
-    matrix = ctrl.gram  # a fresh array, scaled in place
-    matrix *= expm1_over(lam[:, None] + lam[None, :], T)
+    matrix = ctrl.gram  # a fresh array, scaled in place by row blocks: no second modes x modes table
+    rows = max(1, _COVARIANCE_BLOCK // lam.size)
+    for r0 in range(0, lam.size, rows):
+        matrix[r0:r0 + rows] *= expm1_over(lam[r0:r0 + rows, None] + lam[None, :], T)
     return CovarianceMatrix(matrix=matrix, trace_verdict=gamma_time(model, ctrl, T))
 
 
@@ -259,20 +263,28 @@ def sample_grid(
     blocks = -(-samples // max(1, BLOCK_DRAWS // (steps * width)))
     edges = [samples * b // blocks for b in range(blocks + 1)]
     for s0, s1 in zip(edges, edges[1:]):
+        rows = s1 - s0
         draws = _standard_normals(seed, s0, s1, (steps, width))
+        # every step reads contiguous (rows, modes) tables, not broadcast rows
+        decay_rows = np.tile(decay, (rows, 1))
         if shared:
-            draws *= math.sqrt(dt)
-            increment = np.empty((s1 - s0, n))
+            # step-major, so step j reads one contiguous (rows, channels) slice
+            draws = np.multiply(draws.transpose(1, 0, 2), math.sqrt(dt), out=np.empty((steps, rows, width)))
+            factor_rows = np.tile(factor, (rows, 1))
+            increment = np.empty((rows, n))
         else:
             draws = draws @ step_root_t  # one (steps x n) product per sample, whatever the block
-        x = np.zeros((s1 - s0, n))
+        x = np.zeros((rows, n))
         if 0 in keep_set:
             out[s0:s1, keep_set[0], :] = x
         for j in range(steps):
-            x *= decay
+            x *= decay_rows
             if shared:
-                np.matmul(draws[:, j, :], beta_t, out=increment)
-                increment *= factor
+                if width == 1:  # an outer product: one rounding per entry, the bits of matmul, less overhead
+                    np.einsum("sc,cn->sn", draws[j], beta_t, out=increment)
+                else:
+                    np.matmul(draws[j], beta_t, out=increment)
+                increment *= factor_rows
                 x += increment
             else:
                 x += draws[:, j, :]

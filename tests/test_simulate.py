@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,31 @@ def three_channel():
     return DiagonalModel.from_eigenvalues(lam), Coefficients(rng.standard_normal((7, 3)))
 
 
+def one_channel():
+    """One channel, so the shared increment is an outer product; a zero eigenvalue and a zero beta row."""
+    rng = np.random.default_rng(9)
+    lam = -np.sort(rng.uniform(0.1, 30.0, 7))
+    lam[4] = 0.0
+    beta = rng.standard_normal((7, 1))
+    beta[1] = 0.0
+    return DiagonalModel.from_eigenvalues(lam), Coefficients(beta)
+
+
+def opposite_pair():
+    """400 modes with eigenvalues 2.5 at row 5 and -2.5 at row 350: the ``lambda_n + lambda_m = 0`` limit
+    falls in the first and in the third of the covariance's row blocks."""
+    rng = np.random.default_rng(10)
+    lam = -rng.uniform(0.1, 30.0, 400)
+    lam[5], lam[350] = 2.5, -2.5
+    return DiagonalModel.from_eigenvalues(lam), Coefficients(rng.standard_normal((400, 2)))
+
+
+def same_bytes(a, b):
+    """Equal dtype, shape and bytes: unlike ``np.array_equal``, ``-0.0`` differs from ``0.0``."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestStreamKeys:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_equal_seed_sequence(self, seed):
@@ -354,33 +380,38 @@ class TestStreamKeys:
 class TestSameBitsAsPerSampleLoop:
     @pytest.mark.parametrize("seed", [0, 2**64 + 7])
     def test_standard_normals(self, seed):
-        assert np.array_equal(_standard_normals(seed, 0, 300, (5, 2)), loop_normals(seed, 300, (5, 2)))
-        assert np.array_equal(_standard_normals(seed, 100, 300, (5, 2)), loop_normals(seed, 300, (5, 2))[100:])
+        assert same_bytes(_standard_normals(seed, 0, 300, (5, 2)), loop_normals(seed, 300, (5, 2)))
+        assert same_bytes(_standard_normals(seed, 100, 300, (5, 2)), loop_normals(seed, 300, (5, 2))[100:])
 
     def test_covariance_and_exp_integral(self):
         model, ctrl = three_channel()
         heat = build_heat_neumann("right", 256)
-        for m, c, T in [(model, ctrl, 0.3), (heat.model, heat.control, 1.0)]:
-            assert np.array_equal(covariance_qt(m, c, T).matrix, loop_covariance(m, c, T))
+        heat_1024 = build_heat_neumann("right", 1024)  # 16 row blocks of 64 rows
+        pair_model, pair_ctrl = opposite_pair()
+        assert simulate._COVARIANCE_BLOCK // 400 < 350  # the pair's second limit is not in the first block
+        for m, c, T in [(model, ctrl, 0.3), (heat.model, heat.control, 1.0),
+                        (heat_1024.model, heat_1024.control, 1.0), (pair_model, pair_ctrl, 0.4)]:
+            assert same_bytes(covariance_qt(m, c, T).matrix, loop_covariance(m, c, T))
         lam = np.concatenate([model.eigenvalues, [-1e-300, 1e-300, -700.0, 3.0, -0.0]])
-        assert np.array_equal(exp_integral(lam, 1.3), loop_exp_integral(lam, 1.3))
+        assert same_bytes(exp_integral(lam, 1.3), loop_exp_integral(lam, 1.3))
 
     def test_sample_exact(self):
         model, ctrl = three_channel()
-        assert np.array_equal(sample_exact(model, ctrl, 0.7, 501, 2**64 + 7).values[:, 0, :],
-                              loop_exact(model, ctrl, 0.7, 501, 2**64 + 7))
+        assert same_bytes(sample_exact(model, ctrl, 0.7, 501, 2**64 + 7).values[:, 0, :],
+                          loop_exact(model, ctrl, 0.7, 501, 2**64 + 7))
         heat = build_heat_neumann("right", 64)
-        assert np.array_equal(sample_exact(heat.model, heat.control, 1.0, 2000, 12345).values[:, 0, :],
-                              loop_exact(heat.model, heat.control, 1.0, 2000, 12345))
+        assert same_bytes(sample_exact(heat.model, heat.control, 1.0, 2000, 12345).values[:, 0, :],
+                          loop_exact(heat.model, heat.control, 1.0, 2000, 12345))
 
     @pytest.mark.parametrize("scheme", ["shared_increment", "exact_joint"])
     @pytest.mark.parametrize("block_draws", [simulate.BLOCK_DRAWS, 500])
     def test_sample_grid(self, monkeypatch, scheme, block_draws):
-        # at 500 draws a block holds 8 (shared) or 3 (exact_joint) of the 333 samples: 333 is no multiple
+        # at 500 draws a block holds 8 or 25 (shared, 3 or 1 channels) or 3 (exact_joint) of the
+        # 333 samples: 333 is no multiple
         monkeypatch.setattr(simulate, "BLOCK_DRAWS", block_draws)
-        model, ctrl = three_channel()
-        ens = sample_grid(model, ctrl, 1.0, 0.05, 333, 5, scheme=scheme)
-        assert np.array_equal(ens.values, loop_grid_paths(model, ctrl, 1.0, 0.05, 333, 5, scheme))
+        for model, ctrl in (three_channel(), one_channel()):
+            ens = sample_grid(model, ctrl, 1.0, 0.05, 333, 5, scheme=scheme)
+            assert same_bytes(ens.values, loop_grid_paths(model, ctrl, 1.0, 0.05, 333, 5, scheme))
 
     @pytest.mark.parametrize("scheme", ["shared_increment", "exact_joint"])
     def test_sample_grid_heat_blocks(self, monkeypatch, scheme):
@@ -389,7 +420,19 @@ class TestSameBitsAsPerSampleLoop:
         ens = sample_grid(heat.model, heat.control, 1.0, 1e-2, 1000, 77, scheme=scheme)
         paths = loop_grid_paths(heat.model, heat.control, 1.0, 1e-2, 1000, 77, scheme)
         keep = np.round(ens.times / 1e-2).astype(int)
-        assert np.array_equal(ens.values, paths[:, keep, :])
+        assert same_bytes(ens.values, paths[:, keep, :])
         monkeypatch.setattr(simulate, "BLOCK_DRAWS", 1)  # one sample per block
-        assert np.array_equal(sample_grid(heat.model, heat.control, 1.0, 1e-2, 40, 77, scheme=scheme).values,
-                              paths[:40, keep, :])
+        assert same_bytes(sample_grid(heat.model, heat.control, 1.0, 1e-2, 40, 77, scheme=scheme).values,
+                          paths[:40, keep, :])
+
+
+def test_covariance_holds_one_table():
+    # the Gram table is scaled in place by row blocks; a whole-table scale factor would peak at about 3.25 tables
+    heat = build_heat_neumann("right", 1024)
+    tracemalloc.start()
+    try:
+        covariance_qt(heat.model, heat.control, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * 1024**2

@@ -91,6 +91,8 @@ EXTRA = (
     ("heat-left", "check", ["--T", "1e308", "--omega", "1e-300"]),
     ("heat-left", "simulate", ["--dt", "1e-320"]),
     ("heat-feedback", "simulate", ["--T", "1e308", "--dt", "1e307"]),
+    ("heat-right", "covariance", ["--modes", "512"]),
+    ("zero-tail", "simulate", ["--dt", "0.01", "--samples", "20"]),
 )
 
 _TIMING = re.compile(r'\n  "timing": \{\n.*?\n  \}', re.DOTALL)
