@@ -117,14 +117,20 @@ def power_envelope_tail(c: float, p: float, q: float, offset: float, w: float, s
 
 
 def over_squares(w, a, b=None) -> np.ndarray:
-    """``w / (a**2 + b**2)`` elementwise (``w / a**2`` without ``b``), broadcast.
+    """``w / (a**2 + b**2)`` termwise (``w / a**2`` without ``b``), broadcast, ``w`` along the last axis.
 
-    A square that overflows float64 (a magnitude above about 1.3e154) is
-    ``inf``, and its quotient takes the limit 0 without a warning; every entry
-    is the plain expression's.
+    The one weighted-square kernel.  Every entry is the plain expression's, and
+    its limits come without a warning: a square that overflows float64 (a
+    magnitude above about 1.3e154) is ``inf`` and its quotient 0, a zero weight
+    adds exactly 0, and a positive weight over a square that underflows to 0
+    is ``inf`` (which no bracket certifies).
     """
-    with np.errstate(over="ignore"):
-        return w / (a**2 if b is None else a**2 + b**2)
+    w = np.asarray(w, dtype=float)
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = np.asarray(w / (a**2 if b is None else a**2 + np.asarray(b, dtype=float) ** 2))
+    terms[..., w == 0.0] = 0.0  # in place: no second table
+    return terms
 
 
 def line_sum_exact(a: np.ndarray, T: float) -> np.ndarray:
@@ -156,9 +162,7 @@ def frequency_line_tail(a: np.ndarray, T: float, n_max: int) -> tuple[np.ndarray
     x = float(n_max + 1)
     with np.errstate(over="ignore", divide="ignore"):
         integral = (T / (2.0 * math.pi * a)) * (math.pi / 2.0 - np.arctan(2.0 * math.pi * x / (T * a)))
-        # a numpy scalar: the square of a Python float raises OverflowError instead of giving inf
-        first = over_squares(1.0, a, np.float64(2.0 * math.pi * x / T))
-    return 2.0 * integral, 2.0 * first
+    return 2.0 * integral, 2.0 * over_squares(1.0, a, 2.0 * math.pi * x / T)
 
 
 def frequency_mode_tail(c: float, p: float, a_offset: float, w: float, T: float, start: int,

@@ -201,7 +201,7 @@ def gamma_time(model: DiagonalModel, coeffs: Coefficients, T: float) -> SeriesVe
     partial = float(np.sum(coeffs.weights * exp_integral(model.eigenvalues, T)))
     return certify_tail(
         partial, model, coeffs,
-        lambda tail: T * math.exp(2.0 * max(float(tail.eigenvalue(tail.next_index)), 0.0) * T),
+        lambda tail: T,  # tail eigenvalues are negative: a tail mode's term is at most T per unit weight
         lambda tail, w, target: gamma_power_tail(
             tail.c, tail.p, 0.0, w, T, tail.next_index, abs_target=target),
     )
@@ -277,17 +277,6 @@ def _weighted(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
         return np.where(w == 0.0, 0.0, w * terms)
 
 
-def _over_square(w: np.ndarray, a: np.ndarray, b=None) -> np.ndarray:
-    """``w / (a**2 + b**2)`` termwise, ``w`` along the last axis, without warnings: a
-    zero weight adds exactly 0, and a positive weight over a square that underflows
-    to 0 is ``inf`` (which :func:`_converged` refuses to certify); see
-    :func:`over_squares` for overflow."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = over_squares(w, a, b)
-    terms[..., w == 0.0] = 0.0  # in place: no second frequency-grid table
-    return terms
-
-
 def _frequency_partial(w: np.ndarray, a: np.ndarray, T: float, n_max: int) -> float:
     """Frequency-grid partial sum ``sum_{|n| <= n_max} sum_m w_m / (a_m^2 + (2 pi n / T)^2)``.
 
@@ -295,8 +284,8 @@ def _frequency_partial(w: np.ndarray, a: np.ndarray, T: float, n_max: int) -> fl
     """
     with np.errstate(over="ignore"):
         kappa = 2.0 * math.pi * np.arange(1, n_max + 1) / T
-    per_n = np.sum(_over_square(w, a[None, :], kappa[:, None]), axis=1)
-    return float(np.sum(_over_square(w, a))) + float(np.sum(2.0 * per_n))
+    per_n = np.sum(over_squares(w, a[None, :], kappa[:, None]), axis=1)
+    return float(np.sum(over_squares(w, a))) + float(np.sum(2.0 * per_n))
 
 
 def parseval_identity_check(
@@ -369,7 +358,7 @@ def weiss_scan(model: DiagonalModel, obs: Coefficients, omega: float, lam_grid) 
         raise PreconditionError(f"grid point {bad} has Re(lambda) <= omega={omega:g}")
     w = obs.weights
     gaps = pts[:, None] - model.eigenvalues[None, :]
-    sums = np.sum(over_squares(w[None, :], np.abs(gaps)), axis=1)
+    sums = np.sum(over_squares(w, np.abs(gaps)), axis=1)
     values = np.sqrt(pts.real - omega) * np.sqrt(sums)
     k = int(np.argmax(values))
     return WeissScan(float(values[k]), complex(pts[k]), pts, values)
@@ -407,15 +396,13 @@ def dyadic_terms(model: DiagonalModel, ctrl: Coefficients, n_range: int) -> tupl
 def dyadic_diagnostic(model: DiagonalModel, ctrl: Coefficients, n_range: int = 10) -> SeriesVerdict:
     """Dyadic sum ``sum_n 2^n sum_m w_m / (2^n - lambda_m)^2`` over ``|n| <= n_range``.
 
-    Diagnostic only: no existence claim is attached.  The terms of
-    :func:`dyadic_terms` are accumulated in their order, so a running sum of
-    that table ends at ``partial_value`` exactly.  Terms are symmetric under
+    Diagnostic only: no existence claim is attached.  ``partial_value`` is
+    ``np.cumsum`` of the terms of :func:`dyadic_terms` at its end, the table's
+    last ``cumulative`` exactly.  Terms are symmetric under
     ``n -> -n`` for a single mode at ``lambda = -1``.
     """
     _, terms = dyadic_terms(model, ctrl, n_range)
-    partial = 0.0
-    for term in terms:
-        partial += term
+    partial = float(np.cumsum(terms)[-1])
     w = ctrl.weights
     lam = model.eigenvalues
     zero_modes = np.nonzero((lam == 0.0) & (w > DIVERGENCE_FLOOR))[0]
@@ -431,7 +418,7 @@ def dyadic_diagnostic(model: DiagonalModel, ctrl: Coefficients, n_range: int = 1
         return _inconclusive(partial, "growth bound >= 0: dyadic remainder not certified (diagnostic)")
     # n > K: (2^n - lam)^2 >= 2^(2n); n < -K: (2^n - lam)^2 >= lam^2
     scale = 2.0 ** (-n_range)
-    bound = scale * float(np.sum(w)) + scale * float(np.sum(_over_square(w, lam)))
+    bound = scale * float(np.sum(w)) + scale * float(np.sum(over_squares(w, lam)))
     return _converged(partial, 0.0, bound, "geometric remainder bounds on both dyadic sides")
 
 

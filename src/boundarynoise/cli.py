@@ -56,14 +56,6 @@ from .simulate import covariance_qt, ensemble_stats, factor_psd, require_existen
 from .spectral import growth_bound
 
 
-def _default_omega(bundle: ModelBundle, requested: float | None) -> float:
-    if requested is not None:
-        return requested
-    if bundle.transport is not None:
-        return 1.0
-    return growth_bound(bundle.model) + 1.0
-
-
 def _table(header: list, rows: list) -> dict:
     return {"layout": header, "provenance": "closed_form", "rows": rows}
 
@@ -74,7 +66,9 @@ def _table(header: list, rows: list) -> dict:
 
 def cmd_check(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
     T = args.T
-    omega = _default_omega(bundle, args.omega)
+    omega = args.omega
+    if omega is None:
+        omega = 1.0 if bundle.transport is not None else growth_bound(bundle.model) + 1.0
     n_max = args.freq_terms if args.freq_terms is not None else 256
     routes = {}
     if bundle.transport is not None:
@@ -121,18 +115,13 @@ def cmd_covariance(args, bundle: ModelBundle) -> tuple[dict, list | None, Table 
 def cmd_simulate(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | None]:
     if args.seed < 0:  # a SeedSequence entropy is a non-negative integer
         raise argparse.ArgumentTypeError(f"--seed must be a non-negative integer, got {args.seed}")
-    if bundle.transport is not None:
-        n_max = args.freq_terms if args.freq_terms is not None else 256
-        omega = _default_omega(bundle, args.omega)
-        verdict = dirichlet_frequency_criterion(bundle.transport, omega, args.T, n_max)
-    else:
-        verdict = gamma_time(bundle.model, bundle.control, args.T)
-    require_existence(verdict, override=args.override_existence_gate)
     if bundle.model is None:
         raise PreconditionError(
             "the transport model has no spectral representation to simulate; "
             "the override applies to diagonal models only"
         )
+    verdict = gamma_time(bundle.model, bundle.control, args.T)
+    require_existence(verdict, override=args.override_existence_gate)
     overridden = args.override_existence_gate and verdict.verdict.value != "Converged"
     if overridden:
         # the override skips the series test, not the law sampled: its covariance at T must factor
@@ -239,12 +228,10 @@ def cmd_report(args, bundle: ModelBundle) -> tuple[dict, list | None, Table | No
 
 
 #: Each command and the flags it reads besides ``_COMMON``; a flag it does not read is refused (exit 2).
-#: simulate reads --omega and --freq-terms only for the transport existence gate.
 _COMMANDS = {
     "check": (cmd_check, ("--T", "--omega", "--freq-terms")),
     "covariance": (cmd_covariance, ("--T",)),
-    "simulate": (cmd_simulate, ("--T", "--samples", "--seed", "--dt", "--scheme", "--override-existence-gate",
-                                "--omega", "--freq-terms")),
+    "simulate": (cmd_simulate, ("--T", "--samples", "--seed", "--dt", "--scheme", "--override-existence-gate")),
     "perturb-check": (cmd_perturb_check, ("--T",)),
     "scan-weiss": (cmd_scan_weiss, ("--omega",)),
     "dyadic": (cmd_dyadic, ("--freq-terms",)),

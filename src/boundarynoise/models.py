@@ -20,14 +20,13 @@ from typing import Literal, Union
 
 import numpy as np
 
-from ._tails import power_envelope_tail
+from ._tails import over_squares, power_envelope_tail
 from .admissibility import (
     DIVERGENCE_FLOOR,
     SeriesVerdict,
     Verdict,
     _converged,
     _diverged,
-    _over_square,
     certify_tail,
 )
 from .errors import PreconditionError, SingularResolventError
@@ -152,7 +151,7 @@ def dirichlet_hs_norm_spectral(model: DiagonalModel, ctrl: Coefficients, lam: co
     hits = np.nonzero(gaps == 0)[0]
     if hits.size:
         raise SingularResolventError(lam, int(hits[0]))
-    partial = float(np.sum(_over_square(ctrl.weights, np.abs(gaps))))
+    partial = float(np.sum(over_squares(ctrl.weights, np.abs(gaps))))
 
     def a_off(tail) -> float:
         # |lam - lambda_i| >= Re(lam) + c i**p, which must be positive on the tail

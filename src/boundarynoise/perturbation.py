@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -161,8 +160,6 @@ def perturbed_gamma_time(
     pert: RankOnePerturbation,
     ctrl: Coefficients,
     T: float,
-    *,
-    levels: Sequence[int] | None = None,
 ) -> SeriesVerdict:
     """Perturbed time-domain criterion on a ladder of Galerkin truncations.
 
@@ -172,9 +169,9 @@ def perturbed_gamma_time(
     perturbation.  The reported tail bound is the observed last increment,
     not an analytic certificate.
 
-    Default levels: ``N/4, N/2, N`` when the model truncates an infinite
-    family; a finite explicit model is already the whole operator, so it is
-    evaluated at ``N`` alone (the ladder would just drop modes).
+    Levels: ``N/4, N/2, N`` when the model truncates an infinite family; a
+    finite explicit model is already the whole operator, so it is evaluated at
+    ``N`` alone (the ladder would just drop modes).
 
     Requires the unperturbed criterion to be Converged first.  A level whose
     Van Loan block norm times ``T``, or whose Gramian, overflows float64 ends
@@ -187,15 +184,7 @@ def perturbed_gamma_time(
             f"time-domain verdict was {base.verdict.value}"
         )
     total = model.mode_count
-    if levels is None:
-        if model.tail is None:
-            levels = [total]
-        else:
-            levels = sorted({max(1, total // 4), max(1, total // 2), total})
-    else:
-        levels = sorted(set(int(n) for n in levels))
-        if levels[0] < 1 or levels[-1] > total:
-            raise PreconditionError("levels out of range")
+    levels = [total] if model.tail is None else sorted({max(1, total // 4), max(1, total // 2), total})
 
     values = []
     for n in levels:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .admissibility import SeriesVerdict, Verdict, gamma_time
 from .errors import ExistenceGateError, FactorizationError, PreconditionError
+from .modelspec import require_table_budget
 from .spectral import Coefficients, DiagonalModel, _require_paired, exp_integral, expm1_over
 
 #: Eigenvalues of a covariance are allowed below zero by at most this times the trace.
@@ -141,19 +142,26 @@ def _stream_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
 
 
-def _standard_normals(seed: int, start: int, stop: int, shape: tuple) -> np.ndarray:
-    """``(stop - start, *shape)`` standard normals; sample ``i`` reads only its own Philox stream.
+def _streams(seed: int, start: int, stop: int):
+    """Yield the generator of each sample ``start .. stop - 1`` in turn, on that sample's Philox stream.
 
     One Philox/Generator pair is re-keyed per sample: a fresh stream's state
-    with the key of :func:`_stream_keys`.
+    with the key of :func:`_stream_keys`.  Every yield is the same object, so
+    a sample's draws are taken before the next one is requested.
     """
-    out = np.empty((stop - start, *shape))
     bit_generator = np.random.Philox(0)
     normals = np.random.Generator(bit_generator)
     fresh = bit_generator.state  # zero counter, empty buffer: only the key differs per stream
-    for row, key in zip(out, _stream_keys(seed, start, stop)):
+    for key in _stream_keys(seed, start, stop):
         fresh["state"]["key"] = key
         bit_generator.state = fresh
+        yield normals
+
+
+def _standard_normals(seed: int, start: int, stop: int, shape: tuple) -> np.ndarray:
+    """``(stop - start, *shape)`` standard normals; sample ``i`` reads only its own Philox stream."""
+    out = np.empty((stop - start, *shape))
+    for normals, row in zip(_streams(seed, start, stop), out):
         normals.standard_normal(out=row)
     return out
 
@@ -250,11 +258,14 @@ def sample_grid(
         decay = np.exp(lam * dt)
     keep = np.unique(np.round(np.linspace(0, steps, MAX_SAVED_TIMES)).astype(int))  # every step up to 32 steps
     keep_set = {int(k): j for j, k in enumerate(keep)}
+    # refused before the output is allocated
+    require_table_budget("samples", samples, keep.size * n, f"path table ({keep.size} stored times x {n} modes)")
 
     if shared:
         # one Wiener increment per channel, rescaled to the exact per-mode one-step variance
         factor = np.sqrt(exp_integral(lam, dt) / dt)
         beta_t = ctrl.array.T
+        stream = np.empty((steps, width))  # one sample's draws, reused
     else:
         step_root_t = factor_psd(covariance_qt(model, ctrl, dt).matrix).T
 
@@ -264,19 +275,23 @@ def sample_grid(
     edges = [samples * b // blocks for b in range(blocks + 1)]
     for s0, s1 in zip(edges, edges[1:]):
         rows = s1 - s0
-        draws = _standard_normals(seed, s0, s1, (steps, width))
         # every step reads contiguous (rows, modes) tables, not broadcast rows
         decay_rows = np.tile(decay, (rows, 1))
         if shared:
-            # step-major, so step j reads one contiguous (rows, channels) slice
-            draws = np.multiply(draws.transpose(1, 0, 2), math.sqrt(dt), out=np.empty((steps, rows, width)))
+            # each stream is scaled straight into the step-major block, so step j reads one
+            # contiguous (rows, channels) slice and the block's draws are held once
+            draws = np.empty((steps, rows, width))
+            for i, normals in enumerate(_streams(seed, s0, s1)):
+                normals.standard_normal(out=stream)
+                np.multiply(stream, math.sqrt(dt), out=draws[:, i])
             factor_rows = np.tile(factor, (rows, 1))
             increment = np.empty((rows, n))
         else:
+            # two statements: rebinding frees the last block's draws before the product is allocated
+            draws = _standard_normals(seed, s0, s1, (steps, width))
             draws = draws @ step_root_t  # one (steps x n) product per sample, whatever the block
         x = np.zeros((rows, n))
-        if 0 in keep_set:
-            out[s0:s1, keep_set[0], :] = x
+        out[s0:s1, 0, :] = x
         for j in range(steps):
             x *= decay_rows
             if shared:

@@ -211,7 +211,7 @@ def test_criterion_08_perturbation_corollary_witness():
         heat = build_heat_neumann("right", 64)
         b_left = build_heat_neumann("left", 64).control.array[:, 0]
         pert = RankOnePerturbation(b=b_left, m=constant_one_feedback(64))
-        out = perturbed_gamma_time(heat.model, pert, heat.control, 1.0, levels=(16, 32, 64))
+        out = perturbed_gamma_time(heat.model, pert, heat.control, 1.0)
         assert out.verdict is Verdict.CONVERGED
         values = {int(s.split(":")[0].strip().lstrip("N=")): float(s.split(":")[1])
                   for s in out.evidence.split("(")[1].split(")")[0].split(",")}

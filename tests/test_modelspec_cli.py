@@ -195,6 +195,14 @@ class TestCli:
         assert captured.err == ""
         assert json.loads(captured.out)["results"]["overall"] == "Converged"
 
+    def test_grid_path_table_is_refused_by_the_memory_budget(self, tmp_path, capsys):
+        # 2e6 x 64 samples and 6.4e7 draws pass their checks; the 2e6 x 33 x 64 stored paths would take 31.5 GiB
+        path = write_spec(tmp_path, dict(HEAT, modes=64))
+        assert main(["simulate", "--model", path, "--samples", "2000000", "--dt", "0.03125"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: samples=2000000: a dense 2000000 x 2112 path table")
+        assert err.endswith("above the 1 GiB memory budget\n")
+
     def test_subnormal_step_is_refused_by_the_draw_budget(self, tmp_path, capsys):
         # T / dt overflows to inf: more steps than the 2^28 draws any ensemble may take
         path = write_spec(tmp_path, dict(HEAT, modes=16))
@@ -239,10 +247,12 @@ class TestCli:
         assert route["tail_bound"] == "unbounded"
 
     def test_simulate_transport_refused_at_gate(self, tmp_path, capsys):
+        # refused before any gate: there is no spectral representation to sample, overridden or not
         path = write_spec(tmp_path, TRANSPORT)
-        assert main(["simulate", "--model", path]) == 3
-        err = capsys.readouterr().err
-        assert "existence gate" in err
+        for extra in ([], ["--override-existence-gate"]):
+            assert main(["simulate", "--model", path, *extra]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: the transport model has no spectral representation to simulate")
 
     def test_simulate_heat_runs_and_reports(self, tmp_path, capsys):
         path = write_spec(tmp_path, HEAT)

@@ -215,7 +215,7 @@ class TestScaledExponential:
 
         monkeypatch.setattr(linalg, "expm", recording)
         heat, pert = heat_feedback("left", 64)
-        perturbed_gamma_time(heat.model, pert, heat.control, 1.0, levels=(16, 32, 64))
+        perturbed_gamma_time(heat.model, pert, heat.control, 1.0)
         assert len(norms) == 3
         x = np.ones(64)
         perturbed_semigroup_apply(heat.model, pert, 0.5, x)
@@ -333,7 +333,7 @@ class TestPerturbedGamma:
         heat = build_heat_neumann("right", 64)
         b_left = build_heat_neumann("left", 64).control.array[:, 0]
         pert = RankOnePerturbation(b=b_left, m=constant_one_feedback(64))
-        out = perturbed_gamma_time(heat.model, pert, heat.control, 1.0, levels=(16, 32, 64))
+        out = perturbed_gamma_time(heat.model, pert, heat.control, 1.0)
         assert out.verdict is Verdict.CONVERGED
         assert out.tail_bound <= 0.01 * out.value
 
@@ -344,7 +344,7 @@ class TestPerturbedGamma:
         coef = np.linalg.solve(vec, heat.control.array[:, 0])
         ref, _ = integrate.quad(lambda t: float(np.linalg.norm(vec @ (np.exp(lam * t) * coef)) ** 2),
                                 0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-13)
-        out = perturbed_gamma_time(heat.model, pert, heat.control, 1.0, levels=(16, 32, 64))
+        out = perturbed_gamma_time(heat.model, pert, heat.control, 1.0)
         assert out.value == pytest.approx(ref, rel=1e-9)
 
     def test_left_feedback_matches_dyadic_quadrature_of_taylor_expm(self):
@@ -361,7 +361,7 @@ class TestPerturbedGamma:
             mid, half = 0.75 * 2.0**-j, 0.25 * 2.0**-j
             ref += half * sum(w * np.linalg.norm(taylor_expm(gen, mid + half * x) @ cols) ** 2
                               for x, w in zip(xs, ws))
-        out = perturbed_gamma_time(heat.model, pert, heat.control, 1.0, levels=(16, 32))
+        out = perturbed_gamma_time(heat.model, pert, heat.control, 1.0)
         assert out.value == pytest.approx(ref, rel=1e-9)
 
     def test_overflowing_norm_is_inconclusive_without_expm(self, monkeypatch):

@@ -436,3 +436,16 @@ def test_covariance_holds_one_table():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * 1024**2
+
+
+def test_grid_sampler_holds_its_draws_once():
+    # one block of 1000 samples x 1000 steps: each stream is scaled straight into the step-major block,
+    # so the peak is the 16.1 MiB output, 7.6 MiB of draws and the (samples x modes) tables
+    heat = build_heat_neumann("right", 64)
+    tracemalloc.start()
+    try:
+        sample_grid(heat.model, heat.control, 1.0, 1e-3, 1000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 27 * 2**20

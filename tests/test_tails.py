@@ -14,6 +14,7 @@ from boundarynoise._tails import (
     frequency_mode_tail,
     gamma_power_tail,
     line_sum_exact,
+    over_squares,
     power_envelope_tail,
 )
 from boundarynoise.errors import PreconditionError
@@ -102,6 +103,18 @@ def test_frequency_mode_tail_encloses_brute_force():
 def test_zero_weight_short_circuits():
     assert gamma_power_tail(1.0, 2.0, 0.0, 0.0, 1.0, 4, abs_target=1e-6).upper == 0.0
     assert frequency_mode_tail(1.0, 2.0, 1.0, 0.0, 1.0, 4, abs_target=1e-6).upper == 0.0
+
+
+def test_over_squares_takes_its_limits_without_warnings():
+    # pyproject turns RuntimeWarnings into errors, so each limit below is also warning-free
+    assert over_squares([0.0, 1.0], [0.0, 1e-170]).tolist() == [0.0, math.inf]  # 0/0 is 0; 1e-340 underflows
+    assert over_squares(1.0, 1e200) == 0.0  # the square overflows
+    assert over_squares(1.0, 3.0, 4.0) == 1.0 / 25.0
+    # a 1-D weight runs along the last axis of a 2-D table
+    terms = over_squares(np.array([2.0, 0.0, 1.0]), np.array([[1.0, 0.0, 1e-170], [2.0, 1e200, 0.5]]))
+    assert terms.tolist() == [[2.0, 0.0, math.inf], [0.5, 0.0, 4.0]]
+    terms = over_squares(np.array([1.0, 0.0]), np.array([1.0, 1e-170]), np.array([[0.0], [1.0]]))
+    assert terms.tolist() == [[1.0, 0.0], [0.5, 0.0]]
 
 
 # --- mpmath oracle for the one power-family bracket ---------------------------------------------

@@ -93,6 +93,9 @@ EXTRA = (
     ("heat-feedback", "simulate", ["--T", "1e308", "--dt", "1e307"]),
     ("heat-right", "covariance", ["--modes", "512"]),
     ("zero-tail", "simulate", ["--dt", "0.01", "--samples", "20"]),
+    # 2e6 x 33 x 64 stored paths (31.5 GiB) pass the sample-table and draw checks; the path budget refuses them
+    ("heat-right", "simulate", ["--samples", "2000000", "--dt", "0.03125"]),
+    ("transport", "simulate", ["--omega", "1"]),
 )
 
 _TIMING = re.compile(r'\n  "timing": \{\n.*?\n  \}', re.DOTALL)
