@@ -108,7 +108,11 @@ def cmd_covariance(args, bundle: ModelBundle) -> tuple[dict, list | None, Table 
         "entries": _table(header, rows),
     }
     if args.format == "json":  # CSV writes the entries only; the O(N^3) spectrum would be discarded
-        results["min_eigenvalue"] = num(float(np.linalg.eigvalsh(cov.matrix)[0]), "closed_form")
+        try:
+            low = float(np.linalg.eigvalsh(cov.matrix)[0])
+        except np.linalg.LinAlgError:  # LAPACK does not converge on a NaN entry: the spectrum is undefined
+            low = math.nan
+        results["min_eigenvalue"] = num(low, "closed_form")
     return results, header, rows
 
 

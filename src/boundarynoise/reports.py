@@ -82,20 +82,31 @@ def strip_timing(report: dict) -> dict:
 
 
 class Column:
-    """``values`` with each entry repeated ``each`` times, and the whole tiled ``times`` times."""
+    """A table column: cell ``r`` is ``values[at(r)]``.
 
-    def __init__(self, values: np.ndarray, each: int = 1, times: int = 1):
-        self.values, self.each, self.times = values, each, times
+    ``values`` are the column's distinct values, and ``at`` maps an array of
+    row numbers to their positions in ``values``; without a map, row ``r`` is
+    ``values[r]``.
+    """
+
+    def __init__(self, values: np.ndarray, rows: int | None = None, at=None):
+        self.values, self.at = values, at
+        self.rows = len(values) if rows is None else rows
 
     def __len__(self) -> int:
-        return len(self.values) * self.each * self.times
+        return self.rows
+
+
+def repeated(values: np.ndarray, each: int = 1, times: int = 1) -> Column:
+    """``values`` with each entry repeated ``each`` times, and the whole tiled ``times`` times."""
+    return Column(values, len(values) * each * times, lambda rows: rows // each % len(values))
 
 
 class Table:
     """Equal-length columns of a report table; ``len()`` is the row count.
 
-    No Python list per row is built: the renderers format a column's distinct
-    values once and write the text in blocks of rows.
+    No Python list per row is built: the renderers format a mapped column's
+    distinct values once and write the text in blocks of rows.
     """
 
     def __init__(self, *columns: Column):
@@ -115,9 +126,25 @@ def table_rows(*columns) -> Table:
 
 
 def covariance_rows(matrix: np.ndarray) -> Table:
+    """Rows ``(n, m, value)`` of a symmetric matrix, row-major; cells ``(n, m)`` and ``(m, n)`` share one value.
+
+    Raises ``ValueError`` unless ``matrix`` equals its transpose bit for bit
+    (compared as int64 words, so ``-0.0`` and NaN payloads count).
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    bits = matrix.view(np.int64)
+    if bits.ndim != 2 or not np.array_equal(bits, bits.T):
+        raise ValueError("a covariance table needs a square matrix equal to its transpose bit for bit")
     n = matrix.shape[0]
+
+    def pair(rows):
+        # (i, j) with i <= j sits at i n - i (i - 1) / 2 + (j - i) in the row-major upper triangle
+        i, j = np.divmod(rows, n)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        return lo * n - lo * (lo - 1) // 2 + (hi - lo)
+
     idx = np.arange(n)
-    return Table(Column(idx, each=n), Column(idx, times=n), Column(matrix.ravel()))
+    return Table(repeated(idx, each=n), repeated(idx, times=n), Column(matrix[np.triu_indices(n)], n * n, pair))
 
 
 def series_rows(indices, terms) -> Table:
@@ -129,9 +156,9 @@ def series_rows(indices, terms) -> Table:
 def path_rows(ensemble: PathEnsemble) -> Table:
     samples, times, modes = ensemble.values.shape
     return Table(
-        Column(np.arange(samples), each=times * modes),
-        Column(ensemble.times, each=modes, times=samples),
-        Column(np.arange(modes), times=samples * times),
+        repeated(np.arange(samples), each=times * modes),
+        repeated(ensemble.times, each=modes, times=samples),
+        repeated(np.arange(modes), times=samples * times),
         Column(ensemble.values.ravel()),
     )
 
@@ -189,9 +216,8 @@ def _row_blocks(table: Table, cells, sep: str, between: str) -> list[str]:
     ``cells`` formats a column slice.  The caller joins the blocks once, into its output.
     """
     width = len(table.columns)
-    # repeated columns are formatted once per distinct value; their strings are shared
-    distinct = [None if c.each == c.times == 1 else np.array(cells(c.values), dtype=object)
-                for c in table.columns]
+    # a mapped column's distinct values are formatted once; its rows gather their strings
+    distinct = [None if c.at is None else np.array(cells(c.values), dtype=object) for c in table.columns]
     pieces = []
     for start in range(0, len(table), BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, len(table))
@@ -200,7 +226,7 @@ def _row_blocks(table: Table, cells, sep: str, between: str) -> list[str]:
         out[2 * width - 1::2 * width] = [between] * (stop - start)
         for k, (column, strings) in enumerate(zip(table.columns, distinct)):
             out[2 * k::2 * width] = (cells(column.values[start:stop]) if strings is None
-                                     else strings[rows // column.each % len(strings)].tolist())
+                                     else strings[column.at(rows)].tolist())
         out.pop()
         pieces += ["".join(out), between]
     pieces.pop()

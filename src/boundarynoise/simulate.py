@@ -68,7 +68,9 @@ def covariance_qt(model: DiagonalModel, ctrl: Coefficients, T: float) -> Covaria
     """Entries ``Q_nm = (sum_k beta_nk beta_mk) (exp((lambda_n + lambda_m) T) - 1) / (lambda_n + lambda_m)``.
 
     The ``lambda_n + lambda_m = 0`` entries take the analytic limit ``T``
-    (no epsilon guard).
+    (no epsilon guard).  The matrix equals its transpose bit for bit: so
+    does the Gram table, and the scale factor reads the commuting
+    ``lambda_n + lambda_m``.
     """
     if T <= 0:
         raise PreconditionError("horizon must be positive")
@@ -265,7 +267,6 @@ def sample_grid(
         # one Wiener increment per channel, rescaled to the exact per-mode one-step variance
         factor = np.sqrt(exp_integral(lam, dt) / dt)
         beta_t = ctrl.array.T
-        stream = np.empty((steps, width))  # one sample's draws, reused
     else:
         step_root_t = factor_psd(covariance_qt(model, ctrl, dt).matrix).T
 
@@ -273,23 +274,24 @@ def sample_grid(
     # equal blocks, so none is a single sample unless the ensemble is
     blocks = -(-samples // max(1, BLOCK_DRAWS // (steps * width)))
     edges = [samples * b // blocks for b in range(blocks + 1)]
+    # one step-major table of draws, reused by every block: each sample's stream is written straight
+    # into it, so step j reads one contiguous (rows, width) slice and a block's draws are held once
+    table = np.empty((steps, -(-samples // blocks), width))
+    stream = np.empty((steps, width))  # one sample's draws, reused
     for s0, s1 in zip(edges, edges[1:]):
         rows = s1 - s0
+        draws = table[:, :rows]
+        for i, normals in enumerate(_streams(seed, s0, s1)):
+            normals.standard_normal(out=stream)
+            if shared:
+                np.multiply(stream, math.sqrt(dt), out=draws[:, i])
+            else:  # the sample's exact one-step increments
+                np.matmul(stream, step_root_t, out=draws[:, i])
         # every step reads contiguous (rows, modes) tables, not broadcast rows
         decay_rows = np.tile(decay, (rows, 1))
         if shared:
-            # each stream is scaled straight into the step-major block, so step j reads one
-            # contiguous (rows, channels) slice and the block's draws are held once
-            draws = np.empty((steps, rows, width))
-            for i, normals in enumerate(_streams(seed, s0, s1)):
-                normals.standard_normal(out=stream)
-                np.multiply(stream, math.sqrt(dt), out=draws[:, i])
             factor_rows = np.tile(factor, (rows, 1))
             increment = np.empty((rows, n))
-        else:
-            # two statements: rebinding frees the last block's draws before the product is allocated
-            draws = _standard_normals(seed, s0, s1, (steps, width))
-            draws = draws @ step_root_t  # one (steps x n) product per sample, whatever the block
         x = np.zeros((rows, n))
         out[s0:s1, 0, :] = x
         for j in range(steps):
@@ -302,7 +304,7 @@ def sample_grid(
                 increment *= factor_rows
                 x += increment
             else:
-                x += draws[:, j, :]
+                x += draws[j]
             if (j + 1) in keep_set:
                 out[s0:s1, keep_set[j + 1], :] = x
     return PathEnsemble(times=keep * dt, values=out, scheme=scheme)

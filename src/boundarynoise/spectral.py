@@ -165,8 +165,14 @@ class Coefficients:
 
     @property
     def gram(self) -> np.ndarray:
-        """Mode-by-mode Gram matrix ``sum_k coeff_{n,k} coeff_{m,k}``."""
-        return self.array @ self.array.T
+        """Mode-by-mode Gram matrix ``sum_k coeff_{n,k} coeff_{m,k}``, equal to its transpose bit for bit.
+
+        numpy computes ``a @ a.T`` of one C-contiguous array as one triangle
+        (BLAS ``syrk``) and mirrors it; a strided table would go through a
+        general product, whose two halves can round apart.
+        """
+        table = np.ascontiguousarray(self.array)
+        return table @ table.T
 
     def tail_weight(self) -> float | None:
         """The constant tail weight, resolving ``value=None`` to the last row."""

@@ -573,6 +573,18 @@ class TestCovarianceSpectrum:
         assert len(calls) == 1
         assert "min_eigenvalue" in json.loads(capsys.readouterr().out)["results"]
 
+    def test_nan_entry_reports_a_nan_min_eigenvalue(self, tmp_path, capsys):
+        # eigenvalue 1 at T = 1e308 makes an infinite factor; over the zero Gram entry it gives a NaN cell,
+        # on which LAPACK does not converge
+        spec = dict(EXPLICIT, modes=2, spectrum={"type": "explicit", "values": [1.0, 1.0]}, noise_dim=2,
+                    control={"type": "explicit", "beta": [[1.0, 0.0], [0.0, 1.0]]})
+        path = write_spec(tmp_path, spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["covariance", "--model", path, "--T", "1e308"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["entries"]["rows"][1] == [0, 1, "nan"]
+        assert results["min_eigenvalue"]["value"] == "nan"
+
 
 class TestDyadicTable:
     def test_last_cumulative_is_partial_value(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from boundarynoise import build_heat_neumann, sample_exact
 from boundarynoise import cli, reports
+from boundarynoise.modelspec import build_bundle, parse_model_dict
 from boundarynoise.reports import (
     Column,
     Table,
@@ -27,9 +28,11 @@ from boundarynoise.reports import (
     path_rows,
     render_csv,
     render_json,
+    repeated,
     series_rows,
     table_rows,
 )
+from boundarynoise.simulate import covariance_qt
 
 HEAT = {"name": "heat-right", "modes": 8, "control": {"preset": "heat_neumann_right"}}
 HEAT_FB = dict(HEAT, perturbation={"type": "rank_one", "b": "heat_neumann_left", "m": "constant_one"})
@@ -46,8 +49,9 @@ def write_spec(tmp_path, payload, name="model.json"):
 
 
 def expand(table: Table) -> list[list]:
-    """The table as one Python list per row."""
-    columns = [np.tile(np.repeat(c.values, c.each), c.times).tolist() for c in table.columns]
+    """The table as one Python list per row, each cell read through its column's map."""
+    rows = np.arange(len(table))
+    columns = [(c.values if c.at is None else c.values[c.at(rows)]).tolist() for c in table.columns]
     return [list(row) for row in zip(*columns)]
 
 
@@ -87,8 +91,25 @@ def small_blocks(monkeypatch):
 
 class TestRowBuilders:
     def test_covariance_rows_are_index_pairs(self):
-        matrix = np.arange(12.0).reshape(3, 4)[:, :3] / 7.0
+        # symmetric, with every upper entry distinct: a cell that read another pair's value would show
+        upper = np.triu(np.arange(1.0, 10.0).reshape(3, 3) / 7.0)
+        matrix = upper + np.triu(upper, 1).T
         assert expand(covariance_rows(matrix)) == [[n, m, matrix[n, m]] for n in range(3) for m in range(3)]
+
+    @pytest.mark.parametrize("matrix", [
+        np.arange(9.0).reshape(3, 3),
+        np.array([[1.0, 0.0], [-0.0, 1.0]]),  # equal as floats, not as bits
+        np.array([[0, 0x7FF8000000000001], [0x7FF8000000000002, 0]], dtype=np.int64).view(float),  # NaN payloads
+        np.ones((2, 3)),
+    ], ids=["asymmetric", "signed-zero", "nan-payload", "not-square"])
+    def test_covariance_rows_refuse_a_matrix_unequal_to_its_transpose(self, matrix):
+        with pytest.raises(ValueError, match="transpose"):
+            covariance_rows(matrix)
+
+    def test_covariance_rows_take_mirrored_nan_and_signed_zero(self):
+        matrix = np.array([[math.nan, -0.0], [-0.0, math.inf]])
+        text = render_csv(["n", "m", "value"], covariance_rows(matrix))
+        assert text == "n,m,value\n0,0,nan\n0,1,-0.0\n1,0,-0.0\n1,1,inf\n"
 
     def test_path_rows_layout(self):
         heat = build_heat_neumann("right", 3)
@@ -148,6 +169,64 @@ class TestCliTables:
             out = capsys.readouterr().out
             assert out == reference_json(seen[0])
             assert json.loads(out)["model"]["name"] == marker
+
+
+def heat_spec(modes: int) -> dict:
+    return dict(HEAT, modes=modes)
+
+
+def edge_spec(modes: int) -> dict:
+    """Explicit modes whose covariance has every kind of cell.
+
+    At ``T = 1e308`` a positive pair sum makes an infinite factor: ``inf`` and
+    ``-inf`` cells, and ``nan`` over a zero Gram entry.  From three modes on,
+    rows 1 and 2 (``beta`` of 1e-100 with opposite signs, one eigenvalue
+    -1e200) give a negative entry that underflows to ``-0.0``.
+    """
+    values = [0.5, -1e200, -1.0, 0.25, -0.75, -2.0, 0.125, -0.5, -3.0, 1.0, -0.25, -4.0, 0.0]
+    beta = [[1.5, 0.0], [-1e-100, 0.0], [1e-100, 0.0], [0.0, 1.0], [-1.0, 0.5], [0.0, 0.0], [2.0, -1.0],
+            [-0.5, 0.0], [1.0, 1.0], [0.0, -2.0], [0.25, 0.0], [-1.0, 3.0], [0.5, 0.5]]
+    return {"name": f"edge-{modes}", "modes": modes, "noise_dim": 2,
+            "spectrum": {"type": "explicit", "values": values[:modes]},
+            "control": {"type": "explicit", "beta": beta[:modes]}}
+
+
+def oracle_cells(spec: dict, T: float) -> list[list]:
+    """``(n, m, Q_nm)`` read straight off ``covariance_qt``'s matrix, row by row."""
+    bundle = build_bundle(parse_model_dict(spec))
+    matrix = covariance_qt(bundle.model, bundle.control, T).matrix
+    return [[n, m, matrix[n, m].item()] for n in range(len(matrix)) for m in range(len(matrix))]
+
+
+class TestCovarianceOracle:
+    """``covariance`` output against an oracle that does not read the table's pair map."""
+
+    @pytest.mark.parametrize("modes", [1, 2, 5, 13])
+    @pytest.mark.parametrize("make, T", [(heat_spec, 1.0), (heat_spec, 1e308), (edge_spec, 1.0), (edge_spec, 1e308)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cells(self, tmp_path, capsys, small_blocks, modes, make, T, fmt):
+        # blocks of 7 rows end inside a matrix row; a positive pair sum at 1e308 overflows with a warning,
+        # and the cells are what this test reads
+        spec = make(modes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = oracle_cells(spec, T)
+            argv = ["covariance", "--model", write_spec(tmp_path, spec), "--T", repr(T), "--format", fmt]
+            assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([["n", "m", "value"], *cells])
+            assert out == buf.getvalue()
+        else:
+            # repr tells -0.0 from 0.0
+            rows = json.loads(out)["results"]["entries"]["rows"]
+            assert repr(rows) == repr([[n, m, json_cell(v)] for n, m, v in cells])
+
+    def test_edge_spec_has_every_kind_of_cell(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            kinds = {repr(v) for _, _, v in oracle_cells(edge_spec(13), 1e308)}
+        assert {"inf", "-inf", "nan", "-0.0"} <= kinds
+        assert "-0.0" in {repr(v) for _, _, v in oracle_cells(edge_spec(5), 1.0)}
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4, 1.5e300, 0.1, 2.0 / 3.0, 123456789012345.0]
@@ -221,7 +300,7 @@ def reports_with_tables(draw):
         ))
         columns = [Column(np.array(draw(st.lists(cells, min_size=length, max_size=length))))
                    for _ in range(draw(st.integers(0, 3)))]
-        columns.insert(draw(st.integers(0, len(columns))), Column(values, each=each, times=times))
+        columns.insert(draw(st.integers(0, len(columns))), repeated(values, each=each, times=times))
         tables.append(Table(*columns))
     report = {"tables": tables[0], draw(texts): draw(json_values)}
     for depth, table in enumerate(tables[1:]):

@@ -449,3 +449,49 @@ def test_grid_sampler_holds_its_draws_once():
     finally:
         tracemalloc.stop()
     assert peak <= 27 * 2**20
+
+
+def test_exact_joint_holds_its_draws_once():
+    # 1000 samples in 7 blocks of at most 143: each sample's increments are written straight into one
+    # reused step-major table, so the peak is the 16.1 MiB output, one block of draws and small tables
+    heat = build_heat_neumann("right", 64)
+    tracemalloc.start()
+    try:
+        ensemble = sample_grid(heat.model, heat.control, 1.0, 1e-2, 1000, 1, scheme="exact_joint")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ensemble.values.nbytes + 8 * simulate.BLOCK_DRAWS + 2**20
+
+
+def bitwise_symmetric(matrix) -> bool:
+    bits = matrix.view(np.int64)  # -0.0 and NaN payloads count
+    return np.array_equal(bits, bits.T)
+
+
+class TestCovarianceIsSymmetric:
+    """``covariance_qt`` equals its transpose bit for bit, so a covariance table formats each pair once."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("modes", [1, 2, 63, 64, 255, 256, 1023, 1024])
+    @pytest.mark.parametrize("T", [1.0, 1e308])
+    def test_heat(self, side, modes, T):
+        heat = build_heat_neumann(side, modes)
+        assert bitwise_symmetric(covariance_qt(heat.model, heat.control, T).matrix)
+
+    @pytest.mark.parametrize("make, T", [(three_channel, 0.3), (opposite_pair, 0.4)])
+    def test_zero_eigenvalue_and_zero_sum_limits(self, make, T):
+        model, ctrl = make()
+        assert bitwise_symmetric(covariance_qt(model, ctrl, T).matrix)
+
+    @pytest.mark.parametrize("layout", ["fortran", "sliced"])
+    @pytest.mark.parametrize("T", [1.0, 1e308])
+    def test_control_layouts(self, layout, T):
+        # a strided Gram product goes through a general matrix product, whose two halves may round apart
+        rng = np.random.default_rng(12)
+        lam = -rng.uniform(0.1, 30.0, 300)
+        beta = rng.standard_normal((600, 14))
+        beta = np.asfortranarray(beta[:300, :7]) if layout == "fortran" else beta[::2, ::2]
+        ctrl = Coefficients(beta)
+        assert not ctrl.array.flags.c_contiguous
+        assert bitwise_symmetric(covariance_qt(DiagonalModel.from_eigenvalues(lam), ctrl, T).matrix)

@@ -92,6 +92,8 @@ EXTRA = (
     ("heat-left", "simulate", ["--dt", "1e-320"]),
     ("heat-feedback", "simulate", ["--T", "1e308", "--dt", "1e307"]),
     ("heat-right", "covariance", ["--modes", "512"]),
+    # 129^2 = 16,641 rows: the renderer's 16,384-row block edge falls inside matrix row n = 127
+    ("heat-right", "covariance", ["--modes", "129"]),
     ("zero-tail", "simulate", ["--dt", "0.01", "--samples", "20"]),
     # 2e6 x 33 x 64 stored paths (31.5 GiB) pass the sample-table and draw checks; the path budget refuses them
     ("heat-right", "simulate", ["--samples", "2000000", "--dt", "0.03125"]),
