@@ -198,7 +198,8 @@ def gamma_time(model: DiagonalModel, coeffs: Coefficients, T: float) -> SeriesVe
     _require_paired(model, coeffs)
     if T <= 0:
         raise PreconditionError(f"horizon must be positive, got {T}")
-    partial = float(np.sum(coeffs.weights * exp_integral(model.eigenvalues, T)))
+    with np.errstate(over="ignore"):  # a term past the float range is inf, and so is the sum
+        partial = float(np.sum(coeffs.weights * exp_integral(model.eigenvalues, T)))
     return certify_tail(
         partial, model, coeffs,
         lambda tail: T,  # tail eigenvalues are negative: a tail mode's term is at most T per unit weight

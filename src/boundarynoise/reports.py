@@ -171,33 +171,56 @@ def render_csv(header: list[str], rows: Table) -> str:
     return "".join([buf.getvalue(), *_row_blocks(rows, _csv_cells, ",", "\n"), "\n"])
 
 
-#: Rows formatted at a time: one block of cell strings lives beside the output text.
+#: Rows formatted at a time: one block of cell bytes lives beside the output text.
 BLOCK_ROWS = 1 << 14
 
-#: JSON text of a non-finite table cell: the string ``num`` gives it.
-_JSON_NONFINITE = {repr(v): json.dumps(_nonfinite(v)) for v in (math.inf, -math.inf, math.nan)}
+#: JSON text of a non-finite table cell (inf, -inf, nan): the string ``num`` gives it.
+_JSON_NONFINITE = [json.dumps(_nonfinite(v)).encode() for v in (math.inf, -math.inf, math.nan)]
 
 #: JSON text of one scalar (or empty container); a non-finite float raises ``ValueError``.
 _JSON_ENCODE = json.JSONEncoder(allow_nan=False).encode
 
 
 def _reprs(values: np.ndarray) -> list[str]:
-    # the list's repr calls float.__repr__ / int.__repr__ on each cell without a Python-level loop
+    # the list's repr calls int.__repr__ on each cell without a Python-level loop
     return repr(values.tolist())[1:-1].split(", ")
 
 
-def _json_cells(values: np.ndarray) -> list[str]:
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    # imported on first use: a command that renders no float table does not load the kernel
+    from . import _floatrepr
+
+    return _floatrepr.cells(values)
+
+
+def _text_cells(strings: list[str]) -> np.ndarray:
+    """The strings as rows of a NUL-padded UTF-8 byte matrix; NUL pads, so no string may hold one."""
+    encoded = [s.encode() for s in strings]
+    if any(b"\0" in b for b in encoded):
+        raise ValueError("a table's text cell holds a NUL character")
+    matrix = np.array(encoded, dtype=bytes)
+    return matrix.view(np.uint8).reshape(len(strings), matrix.itemsize)
+
+
+def _json_cells(values: np.ndarray) -> np.ndarray:
     if values.dtype.kind == "U":
-        return [_JSON_ENCODE(s) for s in values.tolist()]
-    cells = _reprs(values)
-    if values.dtype.kind == "f" and not np.isfinite(values).all():
-        cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
+        return _text_cells([_JSON_ENCODE(s) for s in values.tolist()])
+    if values.dtype.kind != "f":
+        return _text_cells(_reprs(values))
+    cells = _float_cells(values)
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    if nonfinite.size:
+        v = values[nonfinite]
+        texts = np.array(_JSON_NONFINITE, dtype=f"S{cells.shape[1]}").view(np.uint8).reshape(3, -1)
+        cells[nonfinite] = texts[np.where(np.isnan(v), 2, v < 0)]
     return cells
 
 
-def _csv_cells(values: np.ndarray) -> list[str]:
+def _csv_cells(values: np.ndarray) -> np.ndarray:
+    if values.dtype.kind == "f":
+        return _float_cells(values)
     if values.dtype.kind != "U":
-        return _reprs(values)
+        return _text_cells(_reprs(values))
     # csv.writer's quoting, one cell at a time; the empty second field keeps "" from being quoted
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -207,29 +230,43 @@ def _csv_cells(values: np.ndarray) -> list[str]:
         buf.truncate()
         writer.writerow([s, ""])
         cells.append(buf.getvalue()[:-2])
-    return cells
+    return _text_cells(cells)
+
+
+def _distinct_cells(cells, values: np.ndarray) -> np.ndarray:
+    """``cells`` of all ``values`` in one byte matrix as wide as its widest cell, formatted ``BLOCK_ROWS`` at a time."""
+    out = np.zeros((len(values), 0), dtype=np.uint8)
+    for start in range(0, len(values), BLOCK_ROWS):
+        chunk = cells(values[start:start + BLOCK_ROWS])
+        if chunk.shape[1] > out.shape[1]:
+            wider = np.zeros((len(values), chunk.shape[1]), dtype=np.uint8)
+            wider[:, :out.shape[1]] = out
+            out = wider
+        out[start:start + len(chunk), :chunk.shape[1]] = chunk
+    return out
 
 
 def _row_blocks(table: Table, cells, sep: str, between: str) -> list[str]:
     """The rows' text in blocks: a row's cells joined by ``sep``, rows and blocks by ``between``.
 
-    ``cells`` formats a column slice.  The caller joins the blocks once, into its output.
+    ``cells`` formats a column slice as a byte matrix, one NUL-padded row per
+    cell.  A block is the matrix ``[cell, sep, cell, ..., between]`` of its
+    rows; its text is that matrix's bytes without the NULs, decoded once.  The
+    caller joins the blocks once, into its output.
     """
-    width = len(table.columns)
-    # a mapped column's distinct values are formatted once; its rows gather their strings
-    distinct = [None if c.at is None else np.array(cells(c.values), dtype=object) for c in table.columns]
+    # a mapped column's distinct values are formatted once; its rows gather their bytes
+    distinct = [None if c.at is None else _distinct_cells(cells, c.values) for c in table.columns]
+    tails = [np.frombuffer(t.encode(), dtype=np.uint8) for t in [sep] * (len(table.columns) - 1) + [between]]
     pieces = []
     for start in range(0, len(table), BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, len(table))
         rows = np.arange(start, stop)
-        out = [sep] * (2 * width * (stop - start))
-        out[2 * width - 1::2 * width] = [between] * (stop - start)
-        for k, (column, strings) in enumerate(zip(table.columns, distinct)):
-            out[2 * k::2 * width] = (cells(column.values[start:stop]) if strings is None
-                                     else strings[column.at(rows)].tolist())
-        out.pop()
-        pieces += ["".join(out), between]
-    pieces.pop()
+        parts = []
+        for column, formatted, tail in zip(table.columns, distinct, tails):
+            part = cells(column.values[start:stop]) if formatted is None else formatted.take(column.at(rows), axis=0)
+            parts += [part, np.broadcast_to(tail, (stop - start, len(tail)))]
+        pieces.append(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode())
+    pieces[-1] = pieces[-1][:-len(between)]
     return pieces
 
 

@@ -78,8 +78,10 @@ def covariance_qt(model: DiagonalModel, ctrl: Coefficients, T: float) -> Covaria
     lam = model.eigenvalues
     matrix = ctrl.gram  # a fresh array, scaled in place by row blocks: no second modes x modes table
     rows = max(1, _COVARIANCE_BLOCK // lam.size)
-    for r0 in range(0, lam.size, rows):
-        matrix[r0:r0 + rows] *= expm1_over(lam[r0:r0 + rows, None] + lam[None, :], T)
+    # an infinite factor is the limit: it overflows a Gram entry to inf, and makes nan of a zero one
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in range(0, lam.size, rows):
+            matrix[r0:r0 + rows] *= expm1_over(lam[r0:r0 + rows, None] + lam[None, :], T)
     return CovarianceMatrix(matrix=matrix, trace_verdict=gamma_time(model, ctrl, T))
 
 
@@ -173,8 +175,11 @@ class PathEnsemble:
     """Seeded Monte-Carlo samples of the mode coefficients at stored times.
 
     ``values`` has shape ``(samples, len(times), modes)``.  Regenerating with
-    the same seed and sample count reproduces the array bit-for-bit regardless
-    of how samples are partitioned across workers.
+    the same seed and sample count reproduces the array bit-for-bit.  Sample
+    ``i`` draws only from stream ``i``, so the streams do not depend on how
+    samples are partitioned across workers or blocks; the values do not depend
+    on it only where the BLAS products keep their shape, since a product can
+    round a row differently with the number of rows it holds.
     """
 
     times: np.ndarray

@@ -221,13 +221,13 @@ def expm1_over(s: np.ndarray, T: float) -> np.ndarray:
     """``(exp(s T) - 1) / s = int_0^T exp(s t) dt`` elementwise, with the limit ``T`` where ``s == 0``.
 
     expm1 keeps the ``s -> 0`` approach exact; the result is a fresh array.  An
-    ``s T`` that overflows is ``-inf`` or ``inf``, whose ``expm1`` is the limit,
-    so it passes without a warning.
+    ``s T`` that overflows is ``-inf`` or ``inf``, and an ``expm1`` that
+    overflows is ``inf``; both are the limit, so they pass without a warning.
     """
     s = np.asarray(s, dtype=float)
     with np.errstate(over="ignore"):
         out = np.multiply(s, T, out=np.empty_like(s))
-    np.expm1(out, out=out)
+        np.expm1(out, out=out)
     zero = s == 0.0
     np.divide(out, s, out=out, where=~zero)
     out[zero] = T

@@ -491,10 +491,10 @@ class TestNonFiniteSums:
     HUGE_BETA = dict(EXPLICIT, spectrum={"type": "explicit", "values": [-1.0]}, modes=1,
                      control={"type": "explicit", "beta": [[1e200]]})  # weight 1e400
 
+    # e^1400 is the limit inf, taken without a warning: pytest's error::RuntimeWarning guards these runs
     def test_overflowing_time_route_is_inconclusive(self, tmp_path, capsys):
         path = write_spec(tmp_path, self.OVERFLOW)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(["check", "--model", path]) == 0
+        assert main(["check", "--model", path]) == 0
         route = json.loads(capsys.readouterr().out)["results"]["routes"]["time_domain"]
         assert route["verdict"] == "Inconclusive"
         assert route["tail_bound"] == "unknown"
@@ -502,16 +502,14 @@ class TestNonFiniteSums:
 
     def test_overflowing_time_route_fails_the_gate(self, tmp_path, capsys):
         path = write_spec(tmp_path, self.OVERFLOW)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(["simulate", "--model", path, "--samples", "10"]) == 3
+        assert main(["simulate", "--model", path, "--samples", "10"]) == 3
         assert "existence gate: verdict Inconclusive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [[], ["--dt", "0.5"]])
     def test_overridden_gate_refuses_non_finite_covariance(self, tmp_path, capsys, extra):
         path = write_spec(tmp_path, self.OVERFLOW)
         argv = ["simulate", "--model", path, "--samples", "10", "--override-existence-gate", *extra]
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(argv) == 3
+        assert main(argv) == 3
         captured = capsys.readouterr()
         assert "the covariance is not finite" in captured.err
         assert captured.out == ""

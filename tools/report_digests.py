@@ -66,6 +66,21 @@ SPECS = {
         "observation": {"type": "explicit", "gamma": [[1.0], [0.0], [2.0], [1.0]]},
         "perturbation": {"type": "rank_one", "b": [0.1, 0.0, -0.2, 0.3], "m": [1.0, 0.5, 0.0, 0.0]},
     },
+    # table cells in every layout repr has: fixed (0.000ddd to 15 integer digits), e-XX, e+XX, e±XXX,
+    # subnormal and -0.0 (beta 1e-200 against -1e-200 over an eigenvalue of -1e200)
+    "layouts": {
+        "name": "layouts", "modes": 14, "noise_dim": 1,
+        "spectrum": {"type": "explicit", "values": [-0.5, -1.0, -2.0, -3.0, -1e200, -0.25, -4.0, -1.5, -6.0,
+                                                    -0.75, -8.0, -5.0, -2.5, -0.125]},
+        "control": {"type": "explicit", "beta": [[1.0], [1e150], [1e10], [1e-5], [1e-200], [-1e-200], [1e-100],
+                                                 [0.03], [1e8], [1e-160], [3e-310], [-2.5], [1e20], [3e-4]]},
+    },
+    # growing modes: at T = 1e308 the covariance has inf and -inf cells, and nan where the Gram entry is 0
+    "growing": {
+        "name": "growing", "modes": 3, "noise_dim": 2,
+        "spectrum": {"type": "explicit", "values": [0.5, 0.25, 0.125]},
+        "control": {"type": "explicit", "beta": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]]},
+    },
     "transport": {"name": "transport", "noise_dim": 1, "control": {"preset": "transport", "r": 1.0}},
     "transport-countable": {"name": "transport-countable", "noise_dim": "countable",
                             "control": {"preset": "transport", "r": 1.0}},
@@ -98,6 +113,8 @@ EXTRA = (
     # 2e6 x 33 x 64 stored paths (31.5 GiB) pass the sample-table and draw checks; the path budget refuses them
     ("heat-right", "simulate", ["--samples", "2000000", "--dt", "0.03125"]),
     ("transport", "simulate", ["--omega", "1"]),
+    ("layouts", "simulate", ["--dt", "0.25", "--samples", "3"]),
+    ("growing", "covariance", ["--T", "1e308"]),
 )
 
 _TIMING = re.compile(r'\n  "timing": \{\n.*?\n  \}', re.DOTALL)
